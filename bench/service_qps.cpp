@@ -388,7 +388,8 @@ int main(int argc, char** argv) {
   // Arrivals follow a Poisson process at --qps (exponential gaps, fixed
   // seed); the server drains whatever has arrived each epoch.  Open loop:
   // arrivals do not wait for the server, so queueing delay shows up in the
-  // percentiles (large queries block the epochs behind them).
+  // percentiles (each round of a large query's run delays the epochs
+  // behind it).
   obs::Histogram latency_hist;  // open-loop latency, nanoseconds
   double mixed_secs = 0.0;
   std::size_t mixed_large = 0;

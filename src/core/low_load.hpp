@@ -48,12 +48,18 @@
 // stage B (the chunked stage-A collection preserves that order exactly),
 // and the filter pass consumes per-node streams only — so results are
 // bit-identical for every thread count.
+//
+// LowLoadRun exposes one run round by round (step()); run_low_load is that
+// run stepped to completion.  A round reads only the run's own state, so a
+// run stepped with other work between its rounds is bit-identical to an
+// uninterrupted one (the query service relies on this).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/churn.hpp"
@@ -296,142 +302,48 @@ auto make_low_load_bootstrap_factory(P p) {
 }
 }  // namespace detail
 
-/// Run the Low-Load Clarkson Algorithm on (p, h_set) over `n_nodes` gossip
-/// nodes.  The run stops when some node's sample attains f(H) (the paper's
-/// Figure 2 measurement), or — with cfg.run_termination — when every node
-/// has produced an Algorithm 3 output.
+/// One run of the Low-Load Clarkson Algorithm on (p, h_set) over `n_nodes`
+/// gossip nodes, resumable round by round: the constructor does the set-up
+/// (oracle, RNG tree, placement, shard workers, channels), step() runs one
+/// round, done() reports the stop rule, and finish() does the post-run
+/// accounting.  The run stops when some node's sample attains f(H) (the
+/// paper's Figure 2 measurement), or — with cfg.run_termination — when
+/// every node has produced an Algorithm 3 output.
+///
+/// Stepping draws no RNG and keeps no clock, so the result does not depend
+/// on what the caller does between steps: it is bit-identical to
+/// run_low_load.  The run borrows `p`, cfg.churn and cfg.shard.recovery_out
+/// until it is destroyed; channels and shard workers hold addresses inside
+/// it, so it is neither copyable nor movable.
 template <LpTypeProblem P>
-DistributedLpResult<P> run_low_load(const P& p,
-                                    std::span<const typename P::Element> h_set,
-                                    std::size_t n_nodes,
-                                    const LowLoadConfig& cfg = {}) {
+class LowLoadRun {
+ public:
   using Element = typename P::Element;
+  using Solution = typename P::Solution;
 
-  DistributedLpResult<P> res;
-  const std::size_t d =
-      cfg.dimension_override ? cfg.dimension_override : p.dimension();
-  const std::size_t n = n_nodes;
-  LPT_CHECK(n >= 1 && d >= 1);
-  const auto oracle = p.solve(h_set);
-  if (h_set.empty()) {
-    res.solution = oracle;
-    res.stats.reached_optimum = true;
-    return res;
-  }
+  LowLoadRun(const P& p, std::span<const Element> h_set, std::size_t n_nodes,
+             const LowLoadConfig& cfg = {});
+  LowLoadRun(const LowLoadRun&) = delete;
+  LowLoadRun& operator=(const LowLoadRun&) = delete;
 
-  util::Rng master(cfg.seed);
-  gossip::Network net(n, master.child(0), cfg.faults);
-  util::Rng dist_rng = master.child(1);
-  std::vector<util::Rng> node_rng;
-  node_rng.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) node_rng.push_back(master.child(2 + v));
+  /// True once the run has stopped (stop rule met past cfg.min_rounds, or
+  /// the round cap reached); an empty h_set is done at construction.
+  bool done() const noexcept { return done_; }
 
-  // Initial placement: every element lands on a uniformly random node
-  // (the paper's standing assumption; achievable with one push each).
-  gossip::NodeStore<Element> store(n);
-  for (const auto& h : h_set) {
-    store.add_original(static_cast<gossip::NodeId>(dist_rng.below(n)), h);
-  }
+  /// Run one round.  Requires !done().
+  void step();
 
-  SamplerConfig sampler;
-  sampler.target = 6 * d * d;
-  sampler.c = cfg.sampler_c;
-  sampler.log_n = util::ceil_log2(n) + 1;
-  sampler.strict = cfg.strict_sampling;
-  const std::size_t pulls = sampler.pulls_per_node();
-  const double keep_p =
-      1.0 / (1.0 + 1.0 / (2.0 * static_cast<double>(d)));
+  /// The post-run accounting; call once, after done().
+  DistributedLpResult<P> finish();
 
-  const std::size_t maturity = cfg.termination_maturity
-                                   ? cfg.termination_maturity
-                                   : 2 * (util::ceil_log2(n) + 2);
-  const std::size_t max_rounds =
-      cfg.max_rounds ? cfg.max_rounds
-                     : 60 * d * (util::ceil_log2(n) + 2) + 8 * maturity + 60;
-  // The meter closes one history entry per round: reserving the round
-  // bound up front keeps begin_round's push_back realloc-free for the
-  // whole run (+1 covers the finish() flush of the last round).
-  net.meter().reserve_rounds(max_rounds + 1);
-
-  // Shard runtime (shard/runtime.hpp): when configured and the problem has
-  // wire codecs, stage A runs on shard workers over contiguous node ranges
-  // and stage B applies the per-shard candidate streams merged in shard
-  // order — bit-identical to the serial and parallel_nodes paths.  Workers
-  // spawn (PipeTransport: fork) here, before any thread pool exists.
-  constexpr bool kShardable = detail::ShardableLowLoad<P>;
-  const bool sharded = kShardable && cfg.shard.enabled() &&
-                       cfg.sampling == SamplingMode::kPullBased;
-  std::optional<shard::ShardHarness> harness;
-  if constexpr (kShardable) {
-    if (sharded) {
-      if (cfg.shard.transport == shard::TransportKind::kSocket) {
-        // Socket workers inherit nothing: the run-static state travels in
-        // a bootstrap frame and the serve handler is rebuilt from it
-        // inside the worker (and inside every respawned replacement).
-        // The fork-inheriting transports keep the closure path — their
-        // existing fault-script frame positions must not shift.
-        harness.emplace(n, cfg.shard,
-                        detail::low_load_bootstrap_payload<P>(
-                            oracle, sampler, cfg.run_termination),
-                        detail::make_low_load_bootstrap_factory<P>(p));
-      } else {
-        harness.emplace(n, cfg.shard,
-                        detail::make_low_load_serve<P>(p, oracle, sampler,
-                                                       cfg.run_termination));
-      }
-    }
-  }
-
-  gossip::PullChannel<Element> sample_chan(net);
-  gossip::PullChannel<Element> seed_chan(net);  // Section 2.3 pull phase
-  gossip::Mailbox<Element> copies_mail(net);    // W_i pushes
-  gossip::Mailbox<Element> seeds_mail(net);     // (h, 0) pushes
-  TerminationProtocol<P> term(p, net, maturity);
-
-  // Section 2.3: nodes with no original element start in the pull phase.
-  // The phase membership is a compact *sorted* id list (plus a flag array
-  // for O(1) stage-A checks): the request loop and the stage-B response
-  // walk cost O(phase members), which drops to zero after O(log n) rounds.
-  std::vector<std::uint8_t> in_pull_phase(n, 0);
-  std::vector<gossip::NodeId> pull_nodes;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (store.h0_count(static_cast<gossip::NodeId>(v)) == 0) {
-      in_pull_phase[v] = 1;
-      pull_nodes.push_back(static_cast<gossip::NodeId>(v));
-    }
-  }
-
-  // Churn (core/churn.hpp): membership bookkeeping plus a cursor over the
-  // schedule.  Events apply at the top of their round, before any traffic.
-  const bool churn_on = cfg.churn != nullptr && !cfg.churn->empty();
-  LPT_CHECK_MSG(!(churn_on && cfg.run_termination),
-                "run_low_load: churn is incompatible with run_termination");
-  std::optional<ChurnState> members;
-  if (churn_on) members.emplace(n);
-  detail::ChurnCursor churn_cursor(churn_on ? cfg.churn : nullptr);
-  std::vector<Element> handoff_scratch;
-  auto absent = [&](gossip::NodeId v) {
-    return churn_on && !members->present(v);
-  };
-
-  res.stats.initial_total_elements = store.total_elements();
-  res.stats.max_total_elements = res.stats.initial_total_elements;
-
+ private:
   // Per-node round scratch for the compute stage (stage A).  Persistent
   // across rounds so the steady state allocates nothing.
   struct NodeRound {
-    typename P::Solution sol;
+    Solution sol;
     std::vector<Element> violators;
     std::vector<Element> resp;  // idealized-sampling draw buffer
   };
-  std::vector<NodeRound> scratch(n);
-  std::vector<std::size_t> prefix;  // idealized-sampling cumulative sizes
-
-  const bool parallel = !sharded && cfg.parallel_nodes > 1 &&
-                        cfg.sampling == SamplingMode::kPullBased;
-  std::optional<util::ThreadPool> pool;
-  if (parallel) pool.emplace(cfg.parallel_nodes);
-
   // Stage-A chunk accumulators: fixed contiguous chunks collect, each in
   // ascending node order, the nodes whose stage-B replay has shared-state
   // effects, plus sampler counters.  Concatenated in chunk order they
@@ -445,304 +357,478 @@ DistributedLpResult<P> run_low_load(const P& p,
     std::uint32_t failures = 0;
     gossip::NodeId first_opt = detail::kNoNodeId;
   };
-  const std::size_t chunk =
-      parallel ? std::max<std::size_t>(64, n / (cfg.parallel_nodes * 8)) : n;
-  std::vector<ChunkAcc> chunks(sharded ? harness->frame_count()
-                                       : util::chunk_count(n, chunk));
+  static constexpr bool kShardable = detail::ShardableLowLoad<P>;
 
-  bool found = false;
-  for (std::size_t t = 1; t <= max_rounds; ++t) {
-    net.begin_round();
-    obs::trace_tick();  // rounds are the engine's sampling unit
-    obs::TraceSpan round_span("low_load.round", t);
-    std::size_t bookkeeping = 0;
+  bool absent(gossip::NodeId v) const {
+    return churn_on_ && !members_->present(v);
+  }
 
-    // --- Churn events due this round: a leaver hands its store off to
-    // uniformly random present nodes (originals stay originals) and drops
-    // out of the pull phase; a joiner enters the Section 2.3 pull phase.
-    for (const ChurnEvent& ev : churn_cursor.events_due(t)) {
-      const gossip::NodeId v = ev.node;
-      if (ev.join) {
-        members->join(v);
-        if (!in_pull_phase[v]) {
-          in_pull_phase[v] = 1;
-          pull_nodes.insert(
-              std::lower_bound(pull_nodes.begin(), pull_nodes.end(), v), v);
-        }
+  const P& p_;
+  const LowLoadConfig cfg_;  // a copy: the caller's config may not outlive us
+  const std::size_t n_;
+  const Solution oracle_;
+  const std::size_t maturity_;
+  DistributedLpResult<P> res_;
+  gossip::Network net_;
+  std::vector<util::Rng> node_rng_;
+  gossip::NodeStore<Element> store_;
+  SamplerConfig sampler_;
+  std::size_t pulls_ = 0;
+  double keep_p_ = 0.0;
+  std::size_t max_rounds_ = 0;
+  bool sharded_ = false;
+  std::optional<shard::ShardHarness> harness_;
+  gossip::PullChannel<Element> sample_chan_;
+  gossip::PullChannel<Element> seed_chan_;  // Section 2.3 pull phase
+  gossip::Mailbox<Element> copies_mail_;    // W_i pushes
+  gossip::Mailbox<Element> seeds_mail_;     // (h, 0) pushes
+  TerminationProtocol<P> term_;
+  std::vector<std::uint8_t> in_pull_phase_;
+  std::vector<gossip::NodeId> pull_nodes_;
+  const bool churn_on_;
+  std::optional<ChurnState> members_;
+  detail::ChurnCursor churn_cursor_;
+  std::vector<Element> handoff_scratch_;
+  std::vector<NodeRound> scratch_;
+  std::vector<std::size_t> prefix_;  // idealized-sampling cumulative sizes
+  std::size_t chunk_ = 0;
+  std::vector<ChunkAcc> chunks_;
+  bool found_ = false;
+  std::size_t t_ = 0;  // rounds run so far
+  bool done_ = false;
+  std::optional<util::ThreadPool> pool_;  // after everything its tasks touch
+};
+
+template <LpTypeProblem P>
+LowLoadRun<P>::LowLoadRun(const P& p, std::span<const Element> h_set,
+                          std::size_t n_nodes, const LowLoadConfig& cfg)
+    : p_(p),
+      cfg_(cfg),
+      n_(n_nodes),
+      oracle_(p.solve(h_set)),
+      maturity_(cfg.termination_maturity
+                    ? cfg.termination_maturity
+                    : 2 * (util::ceil_log2(n_nodes) + 2)),
+      net_(n_nodes, util::Rng(cfg.seed).child(0), cfg.faults),
+      store_(n_nodes),
+      sample_chan_(net_),
+      seed_chan_(net_),
+      copies_mail_(net_),
+      seeds_mail_(net_),
+      term_(p, net_, maturity_),
+      churn_on_(cfg.churn != nullptr && !cfg.churn->empty()),
+      churn_cursor_(churn_on_ ? cfg.churn : nullptr) {
+  const std::size_t d =
+      cfg.dimension_override ? cfg.dimension_override : p.dimension();
+  const std::size_t n = n_nodes;
+  LPT_CHECK(n >= 1 && d >= 1);
+  if (h_set.empty()) {
+    res_.solution = oracle_;
+    res_.stats.reached_optimum = true;
+    done_ = true;
+    return;
+  }
+
+  util::Rng master(cfg.seed);
+  util::Rng dist_rng = master.child(1);
+  node_rng_.reserve(n);
+  for (std::size_t v = 0; v < n; ++v) node_rng_.push_back(master.child(2 + v));
+
+  // Initial placement: every element lands on a uniformly random node
+  // (the paper's standing assumption; achievable with one push each).
+  for (const auto& h : h_set) {
+    store_.add_original(static_cast<gossip::NodeId>(dist_rng.below(n)), h);
+  }
+
+  sampler_.target = 6 * d * d;
+  sampler_.c = cfg.sampler_c;
+  sampler_.log_n = util::ceil_log2(n) + 1;
+  sampler_.strict = cfg.strict_sampling;
+  pulls_ = sampler_.pulls_per_node();
+  keep_p_ = 1.0 / (1.0 + 1.0 / (2.0 * static_cast<double>(d)));
+
+  max_rounds_ =
+      cfg.max_rounds ? cfg.max_rounds
+                     : 60 * d * (util::ceil_log2(n) + 2) + 8 * maturity_ + 60;
+  // The meter closes one history entry per round: reserving the round
+  // bound up front keeps begin_round's push_back realloc-free for the
+  // whole run (+1 covers the finish() flush of the last round).
+  net_.meter().reserve_rounds(max_rounds_ + 1);
+
+  // Shard runtime (shard/runtime.hpp): when configured and the problem has
+  // wire codecs, stage A runs on shard workers over contiguous node ranges
+  // and stage B applies the per-shard candidate streams merged in shard
+  // order — bit-identical to the serial and parallel_nodes paths.  Workers
+  // spawn (PipeTransport: fork) here, before any thread pool exists.
+  sharded_ = kShardable && cfg.shard.enabled() &&
+             cfg.sampling == SamplingMode::kPullBased;
+  if constexpr (kShardable) {
+    if (sharded_) {
+      if (cfg.shard.transport == shard::TransportKind::kSocket) {
+        // Socket workers inherit nothing: the run-static state travels in
+        // a bootstrap frame and the serve handler is rebuilt from it
+        // inside the worker (and inside every respawned replacement).
+        // The fork-inheriting transports keep the closure path — their
+        // existing fault-script frame positions must not shift.
+        harness_.emplace(n, cfg.shard,
+                         detail::low_load_bootstrap_payload<P>(
+                             oracle_, sampler_, cfg.run_termination),
+                         detail::make_low_load_bootstrap_factory<P>(p));
       } else {
-        members->leave(v);  // before hand_off: targets exclude the leaver
-        detail::hand_off_store(store, v, *members, net.rng(),
-                               handoff_scratch);
-        if (in_pull_phase[v]) {
-          in_pull_phase[v] = 0;
-          pull_nodes.erase(
-              std::lower_bound(pull_nodes.begin(), pull_nodes.end(), v));
-        }
+        harness_.emplace(n, cfg.shard,
+                         detail::make_low_load_serve<P>(p, oracle_, sampler_,
+                                                        cfg.run_termination));
       }
-    }
-
-    // --- Pull phase requests (Algorithm 4, lines 2-6): O(phase members).
-    for (const gossip::NodeId v : pull_nodes) {
-      if (!net.asleep(v)) seed_chan.request(v);
-    }
-    seed_chan.resolve([&](gossip::NodeId target) -> std::optional<Element> {
-      const std::size_t h0 = store.h0_count(target);
-      if (h0 == 0) return std::nullopt;
-      return store.elem(target, net.rng().below(h0));
-    });
-
-    // --- Sampling (Algorithm 2 line 3 via Section 2.1), as fused bulk
-    // pulls: each pull draws its target and is answered in place. ---
-    if (cfg.sampling == SamplingMode::kPullBased) {
-      sample_chan.begin_pulls();
-      auto answer = [&](gossip::NodeId target, std::vector<Element>& sink) {
-        const std::size_t sz = store.size(target);
-        if (sz != 0) {
-          sink.push_back(store.elem(target, net.rng().below(sz)));
-        }
-      };
-      for (gossip::NodeId v = 0; v < n; ++v) {
-        if (in_pull_phase[v] || net.asleep(v) || absent(v)) continue;
-        sample_chan.pull_uniform_direct(v, pulls, answer);
-      }
-    }
-
-    // Idealized sampling support: per-round prefix sums over store sizes.
-    if (cfg.sampling == SamplingMode::kIdealized) {
-      prefix.assign(n + 1, 0);
-      for (std::size_t v = 0; v < n; ++v) {
-        prefix[v + 1] = prefix[v] + store.size(static_cast<gossip::NodeId>(v));
-      }
-    }
-
-    // --- Per-node compute (stage A): sample selection, local solve, and
-    // violator scan.  Touches only node-local state and node_rng[v], so it
-    // fans out across threads when cfg.parallel_nodes asks for it; every
-    // shared-RNG side effect (mailbox pushes, termination traffic) is
-    // collected per chunk and replayed in stage B in node order, making
-    // parallel runs bit-identical to serial ones.
-    const bool found_snapshot = found;
-    auto stage_a = [&](std::size_t k, std::size_t begin, std::size_t end) {
-      obs::TraceSpan chunk_span("low_load.stage_a.chunk", k);
-      ChunkAcc& ch = chunks[k];
-      ch.replay.clear();
-      ch.attempts = 0;
-      ch.failures = 0;
-      ch.first_opt = detail::kNoNodeId;
-      for (std::size_t vi = begin; vi < end; ++vi) {
-        const auto v = static_cast<gossip::NodeId>(vi);
-        if (net.asleep(v) || in_pull_phase[v] || absent(v)) continue;
-        ++ch.attempts;
-        NodeRound& sc = scratch[v];
-        bool ok;
-        if (cfg.sampling == SamplingMode::kPullBased) {
-          // Select straight out of the channel's CSR slice: each slice is
-          // consumed exactly once per round, so reordering it in place is
-          // safe, and the sample stays a zero-copy view into it.
-          ok = detail::low_load_node_stage_a(
-              p, sampler, sample_chan.mutable_responses(v), store.view(v),
-              node_rng[v], sc.sol, sc.violators);
-        } else {
-          const std::size_t m = prefix[n];
-          sc.resp.clear();
-          sc.resp.reserve(pulls);
-          for (std::size_t k2 = 0; k2 < pulls && m > 0; ++k2) {
-            net.meter().add_pull(v, 0);
-            const std::size_t g = node_rng[v].below(m);
-            const auto it =
-                std::upper_bound(prefix.begin(), prefix.end(), g) - 1;
-            const auto node = static_cast<std::size_t>(it - prefix.begin());
-            sc.resp.push_back(store.elem(static_cast<gossip::NodeId>(node),
-                                         g - *it));
-            net.meter().add_response_bytes(sizeof(Element));
-          }
-          ok = detail::low_load_node_stage_a(
-              p, sampler, std::span<Element>(sc.resp), store.view(v),
-              node_rng[v], sc.sol, sc.violators);
-        }
-        if (!ok) {
-          ++ch.failures;
-          continue;
-        }
-        if (!found_snapshot && ch.first_opt == detail::kNoNodeId &&
-            p.same_value(sc.sol, oracle)) {
-          ch.first_opt = v;
-        }
-        if (!sc.violators.empty() || cfg.run_termination) {
-          ch.replay.push_back(v);
-        }
-      }
-    };
-    bool ran_on_shards = false;
-    if constexpr (kShardable) {
-      if (sharded) {
-        // Ship each shard its per-node stage-A inputs in bounded
-        // sub-frames; per-frame results land in frame-indexed ChunkAccs,
-        // which stage B walks in index order — shard-major contiguous
-        // ascending ranges, i.e. the serial full-scan node order.
-        harness->round(
-            [&](shard::ShardRange r, gossip::Encoder& e) {
-              e.put_u8(found_snapshot ? 1 : 0);
-              e.put_u32(r.begin);
-              e.put_u32(r.end);
-              for (gossip::NodeId v = r.begin; v < r.end; ++v) {
-                const bool active =
-                    !net.asleep(v) && !in_pull_phase[v] && !absent(v);
-                e.put_u8(active ? shard::nodeflag::kActive : std::uint8_t{0});
-                if (!active) continue;
-                shard::put_rng(e, node_rng[v]);
-                shard::put_seq(e, sample_chan.responses(v));
-                shard::put_seq(e, store.view(v));
-              }
-            },
-            [&](std::size_t frame, shard::ShardRange r,
-                gossip::Decoder& dec) {
-              ChunkAcc& ch = chunks[frame];
-              ch.replay.clear();
-              for (gossip::NodeId v = r.begin; v < r.end; ++v) {
-                const std::uint8_t flags = dec.get_u8();
-                if (flags & shard::nodeflag::kActive) {
-                  shard::get_rng(dec, node_rng[v]);
-                }
-                if (flags & shard::nodeflag::kReplay) {
-                  shard::get_seq(dec, scratch[v].violators);
-                  ch.replay.push_back(v);
-                }
-                if (flags & shard::nodeflag::kSolution) {
-                  wire_get(dec, scratch[v].sol);
-                }
-              }
-              ch.attempts = dec.get_u32();
-              ch.failures = dec.get_u32();
-              ch.first_opt = dec.get_u32();
-            });
-        ran_on_shards = true;
-      }
-    }
-    if (!ran_on_shards) {
-      util::parallel_chunks(pool ? &*pool : nullptr, n, chunk, stage_a);
-    }
-
-    // --- Shared-state replay (stage B): walk the pull-phase list and the
-    // per-chunk candidate lists merged in ascending node order — the exact
-    // order (and hence shared-RNG stream) of a full O(n) scan, at
-    // O(phase members + candidates) cost. ---
-    std::size_t pull_read = 0;
-    std::size_t pull_write = 0;
-    auto replay_pull_below = [&](gossip::NodeId limit) {
-      while (pull_read < pull_nodes.size() && pull_nodes[pull_read] < limit) {
-        const gossip::NodeId v = pull_nodes[pull_read++];
-        ++bookkeeping;
-        bool exited = false;
-        if (!net.asleep(v)) {
-          const auto got = seed_chan.responses(v);
-          if (!got.empty()) {
-            seeds_mail.push(v, got.front());
-            in_pull_phase[v] = 0;
-            exited = true;
-          }
-        }
-        if (!exited) pull_nodes[pull_write++] = v;
-      }
-    };
-    gossip::NodeId first_opt = detail::kNoNodeId;
-    for (const ChunkAcc& ch : chunks) {
-      res.stats.sampling_attempts += ch.attempts;
-      res.stats.sampling_failures += ch.failures;
-      if (first_opt == detail::kNoNodeId) first_opt = ch.first_opt;
-      for (const gossip::NodeId v : ch.replay) {
-        replay_pull_below(v);
-        ++bookkeeping;
-        const NodeRound& sc = scratch[v];
-        for (const auto& h : sc.violators) copies_mail.push(v, h);
-        if (sc.violators.empty() && cfg.run_termination) {
-          term.inject(v, static_cast<std::uint32_t>(t), sc.sol);
-        }
-      }
-    }
-    replay_pull_below(static_cast<gossip::NodeId>(n));
-    pull_nodes.resize(pull_write);
-    if (!found && first_opt != detail::kNoNodeId) {
-      found = true;
-      res.solution = scratch[first_opt].sol;
-      res.stats.rounds_to_first = t;
-      res.stats.reached_optimum = true;
-    }
-
-    // --- Delivery (received at the beginning of the next round): walk
-    // only the inboxes that received something. ---
-    seeds_mail.deliver();
-    copies_mail.deliver();
-    for (const gossip::NodeId v : seeds_mail.receivers()) {
-      ++bookkeeping;
-      // A departed receiver drops the delivery: the seed is a duplicate of
-      // an original the answerer still holds, so nothing is destroyed.
-      if (absent(v)) continue;
-      for (const auto& h : seeds_mail.inbox(v)) store.add_original(v, h);
-    }
-    for (const gossip::NodeId v : copies_mail.receivers()) {
-      ++bookkeeping;
-      if (absent(v)) continue;  // pushers retain their own copies
-      for (const auto& h : copies_mail.inbox(v)) store.add_copy(v, h);
-    }
-
-    // --- Filtering (lines 8-9): originals are never deleted; only the
-    // copy-holding nodes are visited, each consuming its own RNG stream.
-    if (cfg.filtering) {
-      bookkeeping += store.filter_copies(
-          keep_p, [&](gossip::NodeId v) -> util::Rng& { return node_rng[v]; });
-    }
-
-    if (cfg.run_termination) {
-      term.round(static_cast<std::uint32_t>(t),
-                 [&](gossip::NodeId v) { return store.view(v); });
-    }
-
-    const std::size_t m = store.total_elements();
-    if (m > res.stats.max_total_elements) res.stats.max_total_elements = m;
-    res.stats.bookkeeping_touches_total += bookkeeping;
-    res.stats.last_round_bookkeeping_touches = bookkeeping;
-
-    const bool done = cfg.run_termination ? term.all_output() : found;
-    if (done && t >= cfg.min_rounds) {
-      res.stats.rounds_to_all_output = cfg.run_termination ? t : 0;
-      break;
     }
   }
 
-  if (cfg.run_termination) {
+  // Section 2.3: nodes with no original element start in the pull phase.
+  // The phase membership is a compact *sorted* id list (plus a flag array
+  // for O(1) stage-A checks): the request loop and the stage-B response
+  // walk cost O(phase members), which drops to zero after O(log n) rounds.
+  in_pull_phase_.assign(n, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (store_.h0_count(static_cast<gossip::NodeId>(v)) == 0) {
+      in_pull_phase_[v] = 1;
+      pull_nodes_.push_back(static_cast<gossip::NodeId>(v));
+    }
+  }
+
+  // Churn (core/churn.hpp): membership bookkeeping plus a cursor over the
+  // schedule.  Events apply at the top of their round, before any traffic.
+  LPT_CHECK_MSG(!(churn_on_ && cfg.run_termination),
+                "run_low_load: churn is incompatible with run_termination");
+  if (churn_on_) members_.emplace(n);
+
+  res_.stats.initial_total_elements = store_.total_elements();
+  res_.stats.max_total_elements = res_.stats.initial_total_elements;
+
+  scratch_.resize(n);
+  const bool parallel = !sharded_ && cfg.parallel_nodes > 1 &&
+                        cfg.sampling == SamplingMode::kPullBased;
+  if (parallel) pool_.emplace(cfg.parallel_nodes);
+  chunk_ = parallel ? std::max<std::size_t>(64, n / (cfg.parallel_nodes * 8))
+                    : n;
+  chunks_.resize(sharded_ ? harness_->frame_count()
+                          : util::chunk_count(n, chunk_));
+}
+
+template <LpTypeProblem P>
+void LowLoadRun<P>::step() {
+  LPT_CHECK_MSG(!done_, "LowLoadRun::step after done()");
+  const std::size_t n = n_;
+  const std::size_t t = ++t_;
+  net_.begin_round();
+  obs::trace_tick();  // rounds are the engine's sampling unit
+  obs::TraceSpan round_span("low_load.round", t);
+  std::size_t bookkeeping = 0;
+
+  // --- Churn events due this round: a leaver hands its store off to
+  // uniformly random present nodes (originals stay originals) and drops
+  // out of the pull phase; a joiner enters the Section 2.3 pull phase.
+  for (const ChurnEvent& ev : churn_cursor_.events_due(t)) {
+    const gossip::NodeId v = ev.node;
+    if (ev.join) {
+      members_->join(v);
+      if (!in_pull_phase_[v]) {
+        in_pull_phase_[v] = 1;
+        pull_nodes_.insert(
+            std::lower_bound(pull_nodes_.begin(), pull_nodes_.end(), v), v);
+      }
+    } else {
+      members_->leave(v);  // before hand_off: targets exclude the leaver
+      detail::hand_off_store(store_, v, *members_, net_.rng(),
+                             handoff_scratch_);
+      if (in_pull_phase_[v]) {
+        in_pull_phase_[v] = 0;
+        pull_nodes_.erase(
+            std::lower_bound(pull_nodes_.begin(), pull_nodes_.end(), v));
+      }
+    }
+  }
+
+  // --- Pull phase requests (Algorithm 4, lines 2-6): O(phase members).
+  for (const gossip::NodeId v : pull_nodes_) {
+    if (!net_.asleep(v)) seed_chan_.request(v);
+  }
+  seed_chan_.resolve([&](gossip::NodeId target) -> std::optional<Element> {
+    const std::size_t h0 = store_.h0_count(target);
+    if (h0 == 0) return std::nullopt;
+    return store_.elem(target, net_.rng().below(h0));
+  });
+
+  // --- Sampling (Algorithm 2 line 3 via Section 2.1), as fused bulk
+  // pulls: each pull draws its target and is answered in place. ---
+  if (cfg_.sampling == SamplingMode::kPullBased) {
+    sample_chan_.begin_pulls();
+    auto answer = [&](gossip::NodeId target, std::vector<Element>& sink) {
+      const std::size_t sz = store_.size(target);
+      if (sz != 0) {
+        sink.push_back(store_.elem(target, net_.rng().below(sz)));
+      }
+    };
     for (gossip::NodeId v = 0; v < n; ++v) {
-      const auto& out = term.output(v);
-      if (!out || !p.same_value(*out, oracle)) {
-        res.stats.all_outputs_correct = false;
+      if (in_pull_phase_[v] || net_.asleep(v) || absent(v)) continue;
+      sample_chan_.pull_uniform_direct(v, pulls_, answer);
+    }
+  }
+
+  // Idealized sampling support: per-round prefix sums over store sizes.
+  if (cfg_.sampling == SamplingMode::kIdealized) {
+    prefix_.assign(n + 1, 0);
+    for (std::size_t v = 0; v < n; ++v) {
+      prefix_[v + 1] =
+          prefix_[v] + store_.size(static_cast<gossip::NodeId>(v));
+    }
+  }
+
+  // --- Per-node compute (stage A): sample selection, local solve, and
+  // violator scan.  Touches only node-local state and node_rng_[v], so it
+  // fans out across threads when cfg.parallel_nodes asks for it; every
+  // shared-RNG side effect (mailbox pushes, termination traffic) is
+  // collected per chunk and replayed in stage B in node order, making
+  // parallel runs bit-identical to serial ones.
+  const bool found_snapshot = found_;
+  auto stage_a = [&](std::size_t k, std::size_t begin, std::size_t end) {
+    obs::TraceSpan chunk_span("low_load.stage_a.chunk", k);
+    ChunkAcc& ch = chunks_[k];
+    ch.replay.clear();
+    ch.attempts = 0;
+    ch.failures = 0;
+    ch.first_opt = detail::kNoNodeId;
+    for (std::size_t vi = begin; vi < end; ++vi) {
+      const auto v = static_cast<gossip::NodeId>(vi);
+      if (net_.asleep(v) || in_pull_phase_[v] || absent(v)) continue;
+      ++ch.attempts;
+      NodeRound& sc = scratch_[v];
+      bool ok;
+      if (cfg_.sampling == SamplingMode::kPullBased) {
+        // Select straight out of the channel's CSR slice: each slice is
+        // consumed exactly once per round, so reordering it in place is
+        // safe, and the sample stays a zero-copy view into it.
+        ok = detail::low_load_node_stage_a(
+            p_, sampler_, sample_chan_.mutable_responses(v), store_.view(v),
+            node_rng_[v], sc.sol, sc.violators);
+      } else {
+        const std::size_t m = prefix_[n];
+        sc.resp.clear();
+        sc.resp.reserve(pulls_);
+        for (std::size_t k2 = 0; k2 < pulls_ && m > 0; ++k2) {
+          net_.meter().add_pull(v, 0);
+          const std::size_t g = node_rng_[v].below(m);
+          const auto it =
+              std::upper_bound(prefix_.begin(), prefix_.end(), g) - 1;
+          const auto node = static_cast<std::size_t>(it - prefix_.begin());
+          sc.resp.push_back(
+              store_.elem(static_cast<gossip::NodeId>(node), g - *it));
+          net_.meter().add_response_bytes(sizeof(Element));
+        }
+        ok = detail::low_load_node_stage_a(
+            p_, sampler_, std::span<Element>(sc.resp), store_.view(v),
+            node_rng_[v], sc.sol, sc.violators);
+      }
+      if (!ok) {
+        ++ch.failures;
+        continue;
+      }
+      if (!found_snapshot && ch.first_opt == detail::kNoNodeId &&
+          p_.same_value(sc.sol, oracle_)) {
+        ch.first_opt = v;
+      }
+      if (!sc.violators.empty() || cfg_.run_termination) {
+        ch.replay.push_back(v);
+      }
+    }
+  };
+  bool ran_on_shards = false;
+  if constexpr (kShardable) {
+    if (sharded_) {
+      // Ship each shard its per-node stage-A inputs in bounded
+      // sub-frames; per-frame results land in frame-indexed ChunkAccs,
+      // which stage B walks in index order — shard-major contiguous
+      // ascending ranges, i.e. the serial full-scan node order.
+      harness_->round(
+          [&](shard::ShardRange r, gossip::Encoder& e) {
+            e.put_u8(found_snapshot ? 1 : 0);
+            e.put_u32(r.begin);
+            e.put_u32(r.end);
+            for (gossip::NodeId v = r.begin; v < r.end; ++v) {
+              const bool active =
+                  !net_.asleep(v) && !in_pull_phase_[v] && !absent(v);
+              e.put_u8(active ? shard::nodeflag::kActive : std::uint8_t{0});
+              if (!active) continue;
+              shard::put_rng(e, node_rng_[v]);
+              shard::put_seq(e, sample_chan_.responses(v));
+              shard::put_seq(e, store_.view(v));
+            }
+          },
+          [&](std::size_t frame, shard::ShardRange r, gossip::Decoder& dec) {
+            ChunkAcc& ch = chunks_[frame];
+            ch.replay.clear();
+            for (gossip::NodeId v = r.begin; v < r.end; ++v) {
+              const std::uint8_t flags = dec.get_u8();
+              if (flags & shard::nodeflag::kActive) {
+                shard::get_rng(dec, node_rng_[v]);
+              }
+              if (flags & shard::nodeflag::kReplay) {
+                shard::get_seq(dec, scratch_[v].violators);
+                ch.replay.push_back(v);
+              }
+              if (flags & shard::nodeflag::kSolution) {
+                wire_get(dec, scratch_[v].sol);
+              }
+            }
+            ch.attempts = dec.get_u32();
+            ch.failures = dec.get_u32();
+            ch.first_opt = dec.get_u32();
+          });
+      ran_on_shards = true;
+    }
+  }
+  if (!ran_on_shards) {
+    util::parallel_chunks(pool_ ? &*pool_ : nullptr, n, chunk_, stage_a);
+  }
+
+  // --- Shared-state replay (stage B): walk the pull-phase list and the
+  // per-chunk candidate lists merged in ascending node order — the exact
+  // order (and hence shared-RNG stream) of a full O(n) scan, at
+  // O(phase members + candidates) cost. ---
+  std::size_t pull_read = 0;
+  std::size_t pull_write = 0;
+  auto replay_pull_below = [&](gossip::NodeId limit) {
+    while (pull_read < pull_nodes_.size() && pull_nodes_[pull_read] < limit) {
+      const gossip::NodeId v = pull_nodes_[pull_read++];
+      ++bookkeeping;
+      bool exited = false;
+      if (!net_.asleep(v)) {
+        const auto got = seed_chan_.responses(v);
+        if (!got.empty()) {
+          seeds_mail_.push(v, got.front());
+          in_pull_phase_[v] = 0;
+          exited = true;
+        }
+      }
+      if (!exited) pull_nodes_[pull_write++] = v;
+    }
+  };
+  gossip::NodeId first_opt = detail::kNoNodeId;
+  for (const ChunkAcc& ch : chunks_) {
+    res_.stats.sampling_attempts += ch.attempts;
+    res_.stats.sampling_failures += ch.failures;
+    if (first_opt == detail::kNoNodeId) first_opt = ch.first_opt;
+    for (const gossip::NodeId v : ch.replay) {
+      replay_pull_below(v);
+      ++bookkeeping;
+      const NodeRound& sc = scratch_[v];
+      for (const auto& h : sc.violators) copies_mail_.push(v, h);
+      if (sc.violators.empty() && cfg_.run_termination) {
+        term_.inject(v, static_cast<std::uint32_t>(t), sc.sol);
+      }
+    }
+  }
+  replay_pull_below(static_cast<gossip::NodeId>(n));
+  pull_nodes_.resize(pull_write);
+  if (!found_ && first_opt != detail::kNoNodeId) {
+    found_ = true;
+    res_.solution = scratch_[first_opt].sol;
+    res_.stats.rounds_to_first = t;
+    res_.stats.reached_optimum = true;
+  }
+
+  // --- Delivery (received at the beginning of the next round): walk
+  // only the inboxes that received something. ---
+  seeds_mail_.deliver();
+  copies_mail_.deliver();
+  for (const gossip::NodeId v : seeds_mail_.receivers()) {
+    ++bookkeeping;
+    // A departed receiver drops the delivery: the seed is a duplicate of
+    // an original the answerer still holds, so nothing is destroyed.
+    if (absent(v)) continue;
+    for (const auto& h : seeds_mail_.inbox(v)) store_.add_original(v, h);
+  }
+  for (const gossip::NodeId v : copies_mail_.receivers()) {
+    ++bookkeeping;
+    if (absent(v)) continue;  // pushers retain their own copies
+    for (const auto& h : copies_mail_.inbox(v)) store_.add_copy(v, h);
+  }
+
+  // --- Filtering (lines 8-9): originals are never deleted; only the
+  // copy-holding nodes are visited, each consuming its own RNG stream.
+  if (cfg_.filtering) {
+    bookkeeping += store_.filter_copies(
+        keep_p_, [&](gossip::NodeId v) -> util::Rng& { return node_rng_[v]; });
+  }
+
+  if (cfg_.run_termination) {
+    term_.round(static_cast<std::uint32_t>(t),
+                [&](gossip::NodeId v) { return store_.view(v); });
+  }
+
+  const std::size_t m = store_.total_elements();
+  if (m > res_.stats.max_total_elements) res_.stats.max_total_elements = m;
+  res_.stats.bookkeeping_touches_total += bookkeeping;
+  res_.stats.last_round_bookkeeping_touches = bookkeeping;
+
+  const bool stop = cfg_.run_termination ? term_.all_output() : found_;
+  if (stop && t >= cfg_.min_rounds) {
+    res_.stats.rounds_to_all_output = cfg_.run_termination ? t : 0;
+    done_ = true;
+  } else if (t == max_rounds_) {
+    done_ = true;
+  }
+}
+
+template <LpTypeProblem P>
+DistributedLpResult<P> LowLoadRun<P>::finish() {
+  LPT_CHECK_MSG(done_, "LowLoadRun::finish before done()");
+  // An empty h_set ran no round: the constructor already set the answer.
+  if (t_ == 0) return std::move(res_);
+
+  if (cfg_.run_termination) {
+    for (gossip::NodeId v = 0; v < n_; ++v) {
+      const auto& out = term_.output(v);
+      if (!out || !p_.same_value(*out, oracle_)) {
+        res_.stats.all_outputs_correct = false;
         break;
       }
     }
-    if (term.all_output() && res.stats.all_outputs_correct && !found) {
+    if (term_.all_output() && res_.stats.all_outputs_correct && !found_) {
       // Every node output the optimum via the protocol even though the
       // oracle check never fired (possible only in degenerate instances).
-      res.solution = *term.output(0);
-      res.stats.reached_optimum = true;
+      res_.solution = *term_.output(0);
+      res_.stats.reached_optimum = true;
     }
   }
 
   if constexpr (kShardable) {
-    if (sharded && cfg.shard.recovery_out != nullptr) {
-      *cfg.shard.recovery_out = harness->recovery_stats();
+    if (sharded_ && cfg_.shard.recovery_out != nullptr) {
+      *cfg_.shard.recovery_out = harness_->recovery_stats();
     }
   }
 
-  net.meter().finish();
-  res.stats.max_work_per_round = net.meter().max_work_per_round();
-  res.stats.total_push_ops = net.meter().total_push_ops();
-  res.stats.total_pull_ops = net.meter().total_pull_ops();
-  res.stats.total_bytes = net.meter().total_bytes();
-  res.stats.final_total_elements = store.total_elements();
+  net_.meter().finish();
+  res_.stats.max_work_per_round = net_.meter().max_work_per_round();
+  res_.stats.total_push_ops = net_.meter().total_push_ops();
+  res_.stats.total_pull_ops = net_.meter().total_pull_ops();
+  res_.stats.total_bytes = net_.meter().total_bytes();
+  res_.stats.final_total_elements = store_.total_elements();
   obs::counter("engine.low_load.runs").add(1);
-  obs::counter("engine.low_load.rounds").add(res.stats.rounds_to_first);
+  obs::counter("engine.low_load.rounds").add(res_.stats.rounds_to_first);
   obs::gauge("engine.low_load.store_arena_bytes")
-      .set(static_cast<std::int64_t>(store.arena_bytes()));
-  return res;
+      .set(static_cast<std::int64_t>(store_.arena_bytes()));
+  return std::move(res_);
+}
+
+/// Run the Low-Load Clarkson Algorithm to completion: a LowLoadRun stepped
+/// until done().
+template <LpTypeProblem P>
+DistributedLpResult<P> run_low_load(const P& p,
+                                    std::span<const typename P::Element> h_set,
+                                    std::size_t n_nodes,
+                                    const LowLoadConfig& cfg = {}) {
+  LowLoadRun<P> run(p, h_set, n_nodes, cfg);
+  while (!run.done()) run.step();
+  return run.finish();
 }
 
 }  // namespace lpt::core

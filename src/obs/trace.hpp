@@ -2,7 +2,7 @@
 //
 // What gets traced (when enabled): engine round start/end, stage-A
 // chunks, shard frame send/recv/requeue, recovery respawn/reassign,
-// service epoch admit/serve.  Load the output at chrome://tracing /
+// service epoch admit/serve/step.  Load the output at chrome://tracing /
 // https://ui.perfetto.dev, or validate it with tools/trace_summary.py.
 //
 // ## Cost model — why tracing cannot break the serve-path contracts

@@ -3,12 +3,12 @@
 // lpt_service sits above lpt_core / lpt_shard: clients submit LP-type
 // queries (a point set for smallest enclosing disk, a half-plane set for 2D
 // LP) and receive the canonical solution plus serving metadata (which
-// engine ran, distributed rounds, solve wall time).  Requests and responses
-// are plain structs with wire_put / wire_get overloads, so they ride the
-// same ADL customization point as the shard runtime's frames: a batch of
-// queries is one shard::put_seq, and every payload round-trips exactly —
-// the service's bit-identity guarantee (a served solution equals the
-// corresponding engine run bit-for-bit) extends across the wire.
+// engine ran, distributed rounds, solve compute time).  Requests and
+// responses are plain structs with wire_put / wire_get overloads, so they
+// ride the same ADL customization point as the shard runtime's frames: a
+// sequence of them is one shard::put_seq, and every payload round-trips
+// exactly — the service's bit-identity guarantee (a served solution equals
+// the corresponding engine run bit-for-bit) extends across the wire.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +70,11 @@ struct QueryResponse {
   problems::MinDiskSolution disk;  // kMinDisk solution (else empty)
   problems::Lp2dSolution lp;       // kLp2d solution (else default)
   std::uint32_t rounds = 0;        // distributed rounds to the optimum
-  std::uint64_t solve_nanos = 0;   // service-side solve wall time
+  std::uint64_t solve_nanos = 0;   // compute time spent on this query: the
+                                   // direct solve, or a distributed run's
+                                   // set-up plus its rounds summed (not the
+                                   // wall time since admission, which also
+                                   // covers other queries' epochs)
 
   friend bool operator==(const QueryResponse&, const QueryResponse&) = default;
 };
@@ -124,30 +128,6 @@ inline void wire_get(gossip::Decoder& d, QueryResponse& r) {
   wire_get(d, r.lp);
   r.rounds = d.get_u32();
   r.solve_nanos = d.get_u64();
-}
-
-// --- Batch frames. -------------------------------------------------------
-//
-// A client ships one frame per submission batch; the service replies with
-// one frame per epoch.  Both are plain u32-length-prefixed sequences of the
-// structs above — shard::put_seq's byte-budget guard applies, so a
-// malformed or oversized frame aborts loudly instead of over-allocating.
-
-inline void put_request_batch(gossip::Encoder& e,
-                              std::span<const QueryRequest> qs) {
-  shard::put_seq(e, qs);
-}
-inline void get_request_batch(gossip::Decoder& d,
-                              std::vector<QueryRequest>& qs) {
-  shard::get_seq(d, qs);
-}
-inline void put_response_batch(gossip::Encoder& e,
-                               std::span<const QueryResponse> rs) {
-  shard::put_seq(e, rs);
-}
-inline void get_response_batch(gossip::Decoder& d,
-                               std::vector<QueryResponse>& rs) {
-  shard::get_seq(d, rs);
 }
 
 }  // namespace lpt::service

@@ -6,15 +6,22 @@
 //
 //   1. Clients obtain recycled request slots (acquire_request), fill the
 //      payload, and submit().  Submission is queueing only — no solve runs.
-//   2. run_epoch() admits one batch — up to max_batch pending queries of
-//      the same kind as the oldest (compatible queries batch; the rest keep
-//      their arrival order for a later epoch) — executes it, and appends
-//      one response per admitted query, in admission order.
-//   3. Dispatch per query mirrors the auto-dimension driver's size split:
+//   2. Dispatch per query mirrors the auto-dimension driver's size split:
 //      instances below direct_cutoff short-circuit to the sequential
 //      oracles (MinDisk::solve_into over an arena buffer, Seidel for LP),
 //      larger ones run the low-load Clarkson engine over distributed_nodes
 //      gossip nodes with the config engine_config_for(q) publishes.
+//   3. A distributed solve is one in-flight core::LowLoadRun, held across
+//      epochs; at most one is in flight.  Each run_epoch() does one unit
+//      of work: either it serves a batch — up to max_batch admissible
+//      queries of the oldest admissible query's kind, in arrival order,
+//      where a distributed-size query is admissible only while no run is
+//      in flight and starts the run — or it advances the in-flight run by
+//      one round.  It steps when nothing is admissible or when the
+//      previous epoch served a batch beside the run, so a direct query
+//      waits about one round, not one solve, and a run of R rounds
+//      finishes within 2R + 1 epochs.  Batch responses are appended in
+//      admission order; a run's response in the epoch of its last round.
 //
 // ## The serve-path allocation contract
 //
@@ -35,14 +42,18 @@
 // solve() with a caller-owned buffer), and distributed responses equal
 // run_low_load(problem, payload, distributed_nodes, engine_config_for(q))
 // — the config is exposed precisely so tests and CI can re-run it and
-// compare field by field.  cfg.workers only moves the per-query compute
-// onto threads; every solve consumes query-local state, so responses are
-// bit-identical for every worker count.
+// compare field by field.  Stepping a run between epochs draws no RNG, so
+// the interleaving cannot change it.  cfg.workers only moves the per-query
+// compute onto threads; every solve consumes query-local state, so
+// responses (and the epoch schedule) are bit-identical for every worker
+// count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/low_load.hpp"
@@ -101,10 +112,15 @@ class LptService {
   /// Queue q for a later epoch.  The slot's buffers travel by move.
   void submit(QueryRequest&& q);
 
-  std::size_t pending() const noexcept { return queue_.size(); }
+  /// Queries not yet answered: the queue plus the in-flight run.
+  std::size_t pending() const noexcept {
+    return queue_.size() + (run_ ? 1 : 0);
+  }
 
-  /// Admit and execute one batch; append one response per admitted query to
-  /// `out` in admission order.  Returns the number served (0 when idle).
+  /// One unit of work (see the header comment): serve one batch, or
+  /// advance the in-flight distributed run by one round.  Appends the
+  /// responses completed by this epoch to `out` and returns their number
+  /// (0 when idle, and for a round that does not end the run).
   std::size_t run_epoch(std::vector<QueryResponse>& out);
 
   /// Return a consumed response slot for reuse by a later epoch.
@@ -121,7 +137,38 @@ class LptService {
   const ServiceStats& stats() const noexcept { return stats_; }
 
  private:
-  void admit_batch();
+  /// The in-flight distributed solve, over the problem type: the request
+  /// slot it answers, then the problem object and the core::LowLoadRun
+  /// that borrows it (service.cpp).  Heap-held, so the addresses the run
+  /// holds survive a move of the service.
+  class DistributedRun {
+   public:
+    explicit DistributedRun(QueryRequest&& q) : request(std::move(q)) {}
+    virtual ~DistributedRun() = default;
+    DistributedRun(const DistributedRun&) = delete;
+    DistributedRun& operator=(const DistributedRun&) = delete;
+
+    /// The first call does the run's set-up; every later call one round.
+    virtual void advance() = 0;
+    virtual bool done() const = 0;
+    /// After done(): move the solution and round count into r.
+    virtual void finish(QueryResponse& r) = 0;
+
+    QueryRequest request;
+    std::uint64_t solve_nanos = 0;  // summed set-up and step time so far
+  };
+  template <typename P>
+  class RunOf;
+
+  bool distributed(const QueryRequest& q) const noexcept;
+  bool admissible(const QueryRequest& q) const noexcept {
+    return !run_ || !distributed(q);
+  }
+  void serve_batch(std::vector<QueryResponse>& out);
+  std::optional<QueryRequest> admit_batch();  // the run to start, if any
+  void start_run(QueryRequest&& q, std::vector<QueryResponse>& out);
+  void advance_run(std::vector<QueryResponse>& out);
+  QueryResponse& new_response(std::vector<QueryResponse>& out);
   void serve_one(const QueryRequest& q, QueryResponse& r,
                  util::SlabPool<geom::Vec2>& arena) const;
   void serve_min_disk(const QueryRequest& q, QueryResponse& r,
@@ -133,6 +180,9 @@ class LptService {
   problems::MinDisk min_disk_;
   std::vector<QueryRequest> queue_;      // pending, arrival order
   std::vector<QueryRequest> batch_;      // the epoch under execution
+  std::unique_ptr<DistributedRun> run_;  // the in-flight run, or null
+  bool batch_beside_run_ = false;        // the last epoch served a batch
+                                         // while run_ was in flight
   std::vector<QueryRequest> free_pool_;  // recycled request slots
   std::vector<QueryResponse> response_pool_;  // recycled response slots
   std::vector<util::SlabPool<geom::Vec2>> arenas_;  // one per worker lane

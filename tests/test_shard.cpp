@@ -5,7 +5,8 @@
 // parallel_nodes paths for shards in {1, 2, 4}, over all three transports
 // (in-process queues, pipes, loopback TCP sockets — the socket runs
 // bootstrap their workers over the wire), with and without loss/sleep
-// faults.
+// faults, and so is a low-load run stepped with other work between its
+// rounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -372,6 +374,50 @@ void check_low_load_bit_identity(core::LowLoadConfig base_cfg,
       EXPECT_EQ(serial.solution, res.solution) << what;
       expect_stats_equal(serial.stats, res.stats, what);
     }
+  }
+
+  // Resumable: a LowLoadRun stepped with other work between its rounds — a
+  // second run (same config, its own seed and instance) stepped in turn,
+  // and direct solves — still equals the uninterrupted serial run.  With
+  // shards, both runs' workers stay up across the interleaved work.
+  const auto other_pts = testsupport::golden_disk_points(
+      dataset == DiskDataset::kHull ? DiskDataset::kTriangle
+                                    : DiskDataset::kHull,
+      n);
+  const auto other_direct = p.solve(other_pts);
+  core::LowLoadConfig other_base = base_cfg;
+  other_base.seed = base_cfg.seed + 1;
+  const auto other_serial = core::run_low_load(p, other_pts, n, other_base);
+  core::LowLoadConfig par4 = base_cfg;
+  par4.parallel_nodes = 4;
+  core::LowLoadConfig inproc2 = base_cfg;
+  inproc2.shard.shards = 2;
+  inproc2.shard.transport = shard::TransportKind::kInProc;
+  core::LowLoadConfig socket2 = inproc2;
+  socket2.shard.transport = shard::TransportKind::kSocket;
+  const std::pair<const char*, core::LowLoadConfig> stepped[] = {
+      {"stepped serial", base_cfg},
+      {"stepped parallel_nodes=4", par4},
+      {"stepped 2-shard inproc", inproc2},
+      {"stepped 2-shard socket", socket2}};
+  for (const auto& [what, cfg] : stepped) {
+    core::LowLoadConfig other_cfg = cfg;
+    other_cfg.seed = other_base.seed;
+    core::LowLoadRun<MinDisk> run(p, pts, n, cfg);
+    core::LowLoadRun<MinDisk> other(p, other_pts, n, other_cfg);
+    while (!run.done()) {
+      run.step();
+      EXPECT_EQ(p.solve(other_pts), other_direct) << what;
+      if (!other.done()) other.step();
+    }
+    while (!other.done()) other.step();
+    const auto res = run.finish();
+    EXPECT_EQ(serial.solution, res.solution) << what;
+    expect_stats_equal(serial.stats, res.stats, what);
+    const auto other_res = other.finish();
+    EXPECT_EQ(other_serial.solution, other_res.solution) << what;
+    expect_stats_equal(other_serial.stats, other_res.stats,
+                       std::string(what) + " (second run)");
   }
 }
 

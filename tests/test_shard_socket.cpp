@@ -327,7 +327,9 @@ TEST(SocketEndToEnd, ServiceAnswersDistributedQueryOverSocket) {
 
   std::vector<service::QueryResponse> out;
   svc.submit(std::move(q));
-  ASSERT_EQ(svc.run_epoch(out), 1u);
+  while (svc.pending() > 0) svc.run_epoch(out);  // one round per epoch
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].id, 4u);
   EXPECT_EQ(out[0].status, service::QueryStatus::kOk);
   EXPECT_EQ(out[0].engine, service::EngineUsed::kDistributed);
 
