@@ -53,7 +53,9 @@ int main(int argc, char** argv) {
       LPT_CHECK(hres.stats.reached_optimum);
       high.add(static_cast<double>(hres.stats.rounds_to_first));
 
-      const auto cres = core::run_hypercube_clarkson(p, pts, n, rep + 1);
+      core::HypercubeClarksonConfig ccfg;
+      ccfg.seed = rep + 1;
+      const auto cres = core::run_hypercube_clarkson(p, pts, n, ccfg);
       LPT_CHECK(cres.converged);
       hc.add(static_cast<double>(cres.rounds));
 

@@ -375,30 +375,6 @@ void substrate_showdown(bench::BenchJson& json) {
               "speedup: %.2fx\n",
               csr_pull.per_sec, legacy_pull.per_sec, pull_ratio);
 
-  // --- Fused bulk pulls (the engines' hot path) ---
-  gossip::Network net_pf(kN, util::Rng(43));
-  gossip::PullChannel<double> ch_fused(net_pf);
-  net_pf.begin_round();
-  const auto fused_pull = time_deliver(
-      kIters, kPulls,
-      [&](std::size_t) {
-        ch_fused.begin_pulls();
-        for (std::size_t v = 0; v < kRequesters; ++v) {
-          ch_fused.pull_uniform(
-              static_cast<gossip::NodeId>(v), kPullsEach,
-              [](gossip::NodeId target) {
-                return std::optional<double>(static_cast<double>(target));
-              });
-        }
-      },
-      [&] {});
-  const double fused_ratio = legacy_pull.per_sec > 0.0
-                                 ? fused_pull.per_sec / legacy_pull.per_sec
-                                 : 0.0;
-  std::printf("PullChannel.pull_uniform: %8.0f req/s                         "
-              "speedup: %.2fx\n",
-              fused_pull.per_sec, fused_ratio);
-
   // --- NodeStore showdown: slab-backed store vs the legacy per-node
   // vectors on the engines' filter-pass shape — n nodes each holding one
   // original, a small active set holding copies.  The legacy pass walks
@@ -493,8 +469,6 @@ void substrate_showdown(bench::BenchJson& json) {
   json.set("pull_csr_reqs_per_sec", csr_pull.per_sec);
   json.set("pull_legacy_reqs_per_sec", legacy_pull.per_sec);
   json.set("pull_speedup", pull_ratio);
-  json.set("pull_fused_reqs_per_sec", fused_pull.per_sec);
-  json.set("pull_fused_speedup", fused_ratio);
   json.set("deliver_sparse_n10_msgs_per_sec", small_n);
   json.set("deliver_sparse_n20_msgs_per_sec", large_n);
   json.set("deliver_n_scaling_cost_ratio", scaling);

@@ -21,11 +21,12 @@
 // Latency percentiles come from an obs::Histogram (log-bucketed, <=3.2%
 // overstatement) instead of sorting raw latency vectors; the tracing
 // overhead gate holds a traced steady pump (default sampling, period 64)
-// to <= 1% wall overhead against an untraced one, min-of-mins over
-// alternating pairs.  --trace records the remaining phases as a Chrome
-// trace (service epoch spans + engine round spans; the zero-alloc gate
-// then runs with tracing ACTIVE, proving the contract survives it);
-// --obs dumps the full metrics registry JSON at exit.
+// to <= 1% wall overhead against an untraced one: the fastest traced rep
+// over the fastest untraced rep, from alternating reps.  --trace records
+// the remaining phases as a Chrome trace (service epoch spans + engine
+// round spans; the zero-alloc gate then runs with tracing ACTIVE, proving
+// the contract survives it); --obs dumps the full metrics registry JSON
+// at exit.
 //
 // Writes BENCH_service_qps.json: scalars achieved_qps, p50_us / p95_us /
 // p99_us, steady_qps, steady_state_allocs, small_direct_speedup,
@@ -243,15 +244,15 @@ int main(int argc, char** argv) {
   // The acceptance contract: tracing enabled at default sampling (one
   // sampled epoch in sample_period) costs <= 1% wall on the closed-loop
   // steady pump.  Alternating traced/untraced reps share one warmed
-  // service; the gated statistic is the MINIMUM of the per-pair
-  // traced/untraced ratios.  Adjacent reps share frequency/thermal
-  // state, so each pair is a simultaneous comparison; scheduler noise
-  // is additive and one-sided (it only ever inflates one side of a
-  // pair), so the least-interfered pair — the min — is the closest to
-  // the true ratio, while a real systematic trace cost shifts every
-  // pair up and survives the min.  The real overhead — a relaxed
-  // atomic load per trace site plus one sampled epoch's events — is
-  // far below the gate.
+  // service; the gated statistic is traced_min / untraced_min, the ratio
+  // of each side's least-disturbed rep.  Scheduler noise is additive and
+  // one-sided (it only ever slows a rep), so each side's minimum is the
+  // closest to its true cost, while a real trace cost slows every traced
+  // rep and survives its minimum.  (The minimum of the per-pair ratios,
+  // the earlier statistic, is dragged below 1 by a disturbed untraced
+  // rep, so it could not see a cost of a few percent.)  The real
+  // overhead — a relaxed atomic load per trace site plus one sampled
+  // epoch's events — is far below the gate.
   double trace_overhead_ratio = 0.0;
   if (gate_overhead && obs::kTraceCompiled) {
     service::LptService svc(cfg);
@@ -282,7 +283,6 @@ int main(int argc, char** argv) {
     double traced_min = 0.0;
     double untraced_min = 0.0;
     const int pairs = 7;
-    double ratios[pairs];
     for (int rep = 0; rep < pairs; ++rep) {
       obs::TraceConfig tc;  // default sampling: period 64
       obs::enable_tracing(tc);
@@ -305,16 +305,16 @@ int main(int argc, char** argv) {
         pump(per_rep);
         const double secs = t.seconds();
         if (rep == 0 || secs < untraced_min) untraced_min = secs;
-        ratios[rep] = secs > 0.0 ? traced_secs / secs : 0.0;
       }
     }
-    trace_overhead_ratio = *std::min_element(ratios, ratios + pairs);
+    trace_overhead_ratio = untraced_min > 0.0 ? traced_min / untraced_min
+                                              : 0.0;
     table.add_row({"trace-overhead", util::fmt(per_rep * pairs * 2),
                    util::fmt(traced_min + untraced_min, 4),
                    util::fmt(trace_overhead_ratio, 4),
-                   "min paired ratio"});
+                   "traced_min / untraced_min"});
     std::printf("trace overhead: traced_min=%.4fs untraced_min=%.4fs "
-                "min_pair_ratio=%.4f (gate: <= 1.01)\n\n",
+                "ratio=%.4f (gate: <= 1.01)\n\n",
                 traced_min, untraced_min, trace_overhead_ratio);
     std::fflush(stdout);  // keep the diagnostics if the gate aborts
     LPT_CHECK_MSG(trace_overhead_ratio <= 1.01,

@@ -12,7 +12,9 @@
 //
 // Writes BENCH_shard_scaling.json: a "serial" series with the baseline
 // point and one series per transport ("inproc" / "pipe" / "socket") with
-// one row per shard count carrying wall_per_rep and speedup_vs_serial.  On
+// one row per shard count carrying wall_per_rep, speedup_vs_serial, and
+// the wire bytes per round the shard.bytes.task / shard.bytes.result
+// counters saw (task_bytes_per_round, result_bytes_per_round).  On
 // a 1-core runner the interesting number is the *overhead* (speedup < 1:
 // frame encode/decode + transport cost); on multicore the per-shard
 // stage-A compute overlaps.  The socket rows run the full multi-machine
@@ -140,7 +142,10 @@ int main(int argc, char** argv) {
   const std::size_t n = std::size_t{1} << i;
   problems::MinDisk p;
   util::Table table({"transport", "shards", "rounds", "wall/rep s",
-                     "speedup vs serial"});
+                     "speedup vs serial", "task KB/round",
+                     "result KB/round"});
+  obs::Counter& task_bytes = obs::counter("shard.bytes.task");
+  obs::Counter& result_bytes = obs::counter("shard.bytes.result");
   bench::WallTimer wall;
   bench::BenchJson json("shard_scaling");
 
@@ -166,7 +171,7 @@ int main(int argc, char** argv) {
   }
   const double serial_per_rep = serial_secs / static_cast<double>(reps);
   table.add_row({"serial", "0", util::fmt(serial_rounds.mean(), 2),
-                 util::fmt(serial_per_rep, 4), "1.00"});
+                 util::fmt(serial_per_rep, 4), "1.00", "-", "-"});
   json.add_row("serial", {{"i", static_cast<double>(i)},
                           {"n", static_cast<double>(n)},
                           {"mean_rounds", serial_rounds.mean()},
@@ -190,6 +195,8 @@ int main(int argc, char** argv) {
     for (const std::size_t shards : shard_counts) {
       double secs = 0.0;
       util::RunningStat rounds;
+      const std::uint64_t task0 = task_bytes.get();
+      const std::uint64_t result0 = result_bytes.get();
       for (std::size_t rep = 0; rep < reps; ++rep) {
         core::LowLoadConfig cfg;
         cfg.seed = 1 + rep * 7919;
@@ -203,17 +210,26 @@ int main(int argc, char** argv) {
       }
       const double per_rep = secs / static_cast<double>(reps);
       const double speedup = per_rep > 0.0 ? serial_per_rep / per_rep : 0.0;
+      const double total_rounds = rounds.mean() * static_cast<double>(reps);
+      const double task_per_round =
+          static_cast<double>(task_bytes.get() - task0) / total_rounds;
+      const double result_per_round =
+          static_cast<double>(result_bytes.get() - result0) / total_rounds;
       if (shards == shard_counts.back()) faultfree_wall[t_idx] = per_rep;
       table.add_row({transport.name, util::fmt(shards),
                      util::fmt(rounds.mean(), 2), util::fmt(per_rep, 4),
-                     util::fmt(speedup, 2)});
+                     util::fmt(speedup, 2),
+                     util::fmt(task_per_round / 1024.0, 1),
+                     util::fmt(result_per_round / 1024.0, 1)});
       json.add_row(transport.name,
                    {{"i", static_cast<double>(i)},
                     {"n", static_cast<double>(n)},
                     {"shards", static_cast<double>(shards)},
                     {"mean_rounds", rounds.mean()},
                     {"wall_per_rep", per_rep},
-                    {"speedup_vs_serial", speedup}});
+                    {"speedup_vs_serial", speedup},
+                    {"task_bytes_per_round", task_per_round},
+                    {"result_bytes_per_round", result_per_round}});
     }
   }
 
@@ -257,7 +273,8 @@ int main(int argc, char** argv) {
                      util::fmt(recovery_wall > 0.0
                                    ? serial_per_rep / recovery_wall
                                    : 0.0,
-                               2)});
+                               2),
+                     "-", "-"});
       json.add_row("fault",
                    {{"i", static_cast<double>(i)},
                     {"n", static_cast<double>(n)},

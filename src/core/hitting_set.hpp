@@ -55,10 +55,11 @@ struct HittingSetConfig {
   bool filtering = true;
   std::size_t max_rounds = 0;  // 0: auto cap (per doubling stage)
   gossip::FaultModel faults;   // message loss / sleeping nodes
-  std::size_t parallel_nodes = 0;  // >1: the per-node compute phase (sample
-                                   // selection, hit marking, W_i assembly)
-                                   // runs on this many threads.  Results
-                                   // are bit-identical to the serial run:
+  std::size_t parallel_nodes = 0;  // >1: the per-node compute phase (pulls,
+                                   // sample selection, hit marking, W_i
+                                   // assembly) runs on this many threads.
+                                   // Results are bit-identical to the
+                                   // serial run:
                                    // the phase consumes only the per-node
                                    // RNG streams, and all shared-RNG
                                    // traffic (mailbox pushes) is replayed
@@ -97,6 +98,7 @@ namespace detail {
 /// Per-worker scratch for one hitting-set stage-A node evaluation
 /// (thread_local in the in-process path, closure-owned on shard workers).
 struct HsStageAScratch {
+  PullBuffer<std::uint32_t> buf;
   SampleOutcome<std::uint32_t> outcome;
   std::vector<std::uint8_t> hit;
   std::vector<std::uint32_t> unhit;
@@ -109,17 +111,25 @@ enum class HsNodeOutcome : std::uint8_t {
             // empty or over the push cap; the caller applies the cap)
 };
 
-/// One node's stage A (sample selection, hit marking, W_i assembly) from
-/// explicit inputs — the single definition executed by both the in-process
-/// chunk loop and the shard workers.  Consumes `rng` exactly as a serial
-/// full scan would.
-inline HsNodeOutcome hitting_set_node_stage_a(
-    const problems::HittingSetProblem& problem,
-    std::span<std::uint32_t> responses, std::size_t r, bool strict,
-    std::span<const std::uint32_t> local, util::Rng& rng, HsStageAScratch& scr,
-    std::vector<std::uint32_t>& sample, std::vector<std::uint32_t>& wi) {
+/// One node's stage A (its `pulls` pulls against the round-start `store`,
+/// sample selection, hit marking, W_i assembly) — the single definition
+/// executed by both the in-process chunk loop (live NodeStore) and the
+/// shard workers (decoded StoreSnapshot).  Consumes `rng` exactly as a
+/// serial full scan would; adds the answers' wire bytes to
+/// `response_bytes`.
+template <PullStore<std::uint32_t> Store>
+HsNodeOutcome hitting_set_node_stage_a(
+    const problems::HittingSetProblem& problem, const Store& store,
+    const PullRound& round, gossip::NodeId v, std::size_t pulls,
+    std::size_t r, bool strict, util::Rng& rng, HsStageAScratch& scr,
+    std::uint64_t& response_bytes, std::vector<std::uint32_t>& sample,
+    std::vector<std::uint32_t>& wi) {
   const auto& sys = problem.system();
   const std::size_t s = sys.set_count();
+  const std::span<std::uint32_t> responses =
+      draw_pulls(store, round, pulls, rng, scr.buf);
+  response_bytes +=
+      pull_response_bytes(std::span<const std::uint32_t>(responses));
   select_distinct_into(responses, r, rng, strict, scr.outcome);
   if (!scr.outcome.success) return HsNodeOutcome::kFailed;
   // S_i: sets not hit by R_i.
@@ -135,6 +145,7 @@ inline HsNodeOutcome hitting_set_node_stage_a(
   }
   // Random unhit set; W_i = S \ X(v_i) (lines 6-9; cap applied by caller).
   const auto& chosen = sys.set(scr.unhit[rng.below(scr.unhit.size())]);
+  const std::span<const std::uint32_t> local = store.view(v);
   wi.clear();
   for (auto x : chosen) {
     bool have = false;
@@ -155,39 +166,43 @@ inline HsNodeOutcome hitting_set_node_stage_a(
 /// (fork inheritance / closure copy), never per round.
 ///
 /// Task payload (after the MsgType byte):
-///   u32 r · u64 push_cap · u32 begin · u32 end · per node:
-///     u8 flags; if kActive: rng state, responses seq, local-elements seq.
+///   u32 r · u64 push_cap · u32 pulls · u32 begin · u32 end · the round's
+///   pull inputs (put_pull_inputs) · per node: u8 flags; if kActive: rng
+///   state.
 /// Result payload:
 ///   per node: u8 flags; if kActive: rng state (advanced); if kWinner:
 ///   winning-sample seq; else if kReplay: capped W_i seq — then
-///   u32 attempts, u32 failures.
+///   u32 attempts, u32 failures, u64 response bytes.
 inline auto make_hitting_set_serve(problems::HittingSetProblem problem,
                                    bool strict) {
   using Element = std::uint32_t;
   return [problem = std::move(problem), strict, rng = util::Rng{},
-          scr = HsStageAScratch{}, responses = std::vector<Element>{},
-          local = std::vector<Element>{}, sample = std::vector<Element>{},
+          scr = HsStageAScratch{}, inputs = RemotePullInputs<Element>{},
+          sample = std::vector<Element>{},
           wi = std::vector<Element>{}](gossip::Decoder& d,
                                        gossip::Encoder& e) mutable {
     const std::uint32_t r = d.get_u32();
     const std::uint64_t push_cap = d.get_u64();
+    const std::uint32_t pulls = d.get_u32();
     const gossip::NodeId begin = d.get_u32();
     const gossip::NodeId end = d.get_u32();
+    inputs.decode(d);
+    LPT_CHECK_MSG(begin <= end && end <= inputs.store().nodes(),
+                  "shard wire: task range outside the snapshot");
     shard::put_msg_type(e, shard::MsgType::kStageAResult);
     std::uint32_t attempts = 0;
     std::uint32_t failures = 0;
+    std::uint64_t response_bytes = 0;
     for (gossip::NodeId v = begin; v < end; ++v) {
       if (!(d.get_u8() & shard::nodeflag::kActive)) {
         e.put_u8(0);
         continue;
       }
       shard::get_rng(d, rng);
-      shard::get_seq(d, responses);
-      shard::get_seq(d, local);
       ++attempts;
       const HsNodeOutcome out = hitting_set_node_stage_a(
-          problem, std::span<Element>(responses), r, strict,
-          std::span<const Element>(local), rng, scr, sample, wi);
+          problem, inputs.store(), inputs.round(), v, pulls, r, strict, rng,
+          scr, response_bytes, sample, wi);
       std::uint8_t flags = shard::nodeflag::kActive;
       if (out == HsNodeOutcome::kFailed) {
         ++failures;
@@ -206,6 +221,7 @@ inline auto make_hitting_set_serve(problems::HittingSetProblem problem,
     }
     e.put_u32(attempts);
     e.put_u32(failures);
+    e.put_u64(response_bytes);
   };
 }
 
@@ -243,7 +259,7 @@ inline HittingSetRunResult run_hitting_set(
   res.stats.max_total_elements = res.stats.initial_total_elements;
 
   gossip::Mailbox<Element> copies_mail(net);
-  gossip::PullChannel<Element> sample_chan(net);
+  std::vector<gossip::NodeId> sleeping_scratch;  // task-frame encode scratch
   const std::size_t log_n = util::ceil_log2(n) + 1;
 
   std::size_t d = cfg.hitting_set_size ? cfg.hitting_set_size : 1;
@@ -290,6 +306,7 @@ inline HittingSetRunResult run_hitting_set(
     std::vector<gossip::NodeId> replay;
     std::uint32_t attempts = 0;
     std::uint32_t failures = 0;
+    std::uint64_t response_bytes = 0;
   };
   const std::size_t chunk =
       pool ? std::max<std::size_t>(64, n / (cfg.parallel_nodes * 8)) : n;
@@ -326,31 +343,21 @@ inline HittingSetRunResult run_hitting_set(
       obs::TraceSpan round_span("hitting_set.round", global_round);
       std::size_t bookkeeping = 0;
 
-      // Sampling (Section 2.1), as fused bulk pulls.
-      sample_chan.begin_pulls();
-      auto answer = [&](gossip::NodeId target, std::vector<Element>& sink) {
-        const std::size_t sz = store.size(target);
-        if (sz != 0) {
-          sink.push_back(store.elem(target, net.rng().below(sz)));
-        }
-      };
-      for (gossip::NodeId v = 0; v < n; ++v) {
-        if (net.asleep(v)) continue;
-        sample_chan.pull_uniform_direct(v, pulls, answer);
-      }
-
-      // --- Per-node compute (stage A): sample selection, hit marking, and
-      // W_i assembly.  Touches only node-local state and node_rng[v], so it
-      // fans out across threads when cfg.parallel_nodes asks for it; every
+      // --- Per-node compute (stage A): the node's pulls (Section 2.1),
+      // sample selection, hit marking, and W_i assembly.  Touches only
+      // node_rng[v] and the store, read-only until delivery, so it fans
+      // out across threads when cfg.parallel_nodes asks for it; every
       // shared-RNG side effect (the W_i mailbox pushes) is collected per
       // chunk and replayed in stage B in ascending node order, making
       // parallel runs bit-identical to serial ones.
+      const PullRound pull_round = core::pull_round(net);
       auto stage_a = [&](std::size_t k, std::size_t begin, std::size_t end) {
         thread_local detail::HsStageAScratch scr;
         ChunkAcc& ch = chunks[k];
         ch.replay.clear();
         ch.attempts = 0;
         ch.failures = 0;
+        ch.response_bytes = 0;
         for (std::size_t vi = begin; vi < end; ++vi) {
           const auto v = static_cast<gossip::NodeId>(vi);
           NodeRound& sc = scratch[v];
@@ -358,8 +365,8 @@ inline HittingSetRunResult run_hitting_set(
           if (net.asleep(v)) continue;
           ++ch.attempts;
           const detail::HsNodeOutcome out = detail::hitting_set_node_stage_a(
-              problem, sample_chan.mutable_responses(v), r, sampler.strict,
-              store.view(v), node_rng[v], scr, sc.sample, sc.wi);
+              problem, store, pull_round, v, pulls, r, sampler.strict,
+              node_rng[v], scr, ch.response_bytes, sc.sample, sc.wi);
           if (out == detail::HsNodeOutcome::kFailed) {
             ++ch.failures;
             continue;
@@ -375,22 +382,22 @@ inline HittingSetRunResult run_hitting_set(
         }
       };
       if (sharded) {
-        // Ship each shard its stage-A inputs in bounded sub-frames;
+        // Ship each shard, in bounded sub-frames, the round's read-only
+        // pull inputs once plus each node's flags and RNG state;
         // frame-indexed ChunkAccs walked in order by stage B recover the
         // ascending node order (the deterministic-merge contract).
         harness->round(
             [&](shard::ShardRange rg, gossip::Encoder& e) {
               e.put_u32(static_cast<std::uint32_t>(r));
               e.put_u64(static_cast<std::uint64_t>(push_cap));
+              e.put_u32(static_cast<std::uint32_t>(pulls));
               e.put_u32(rg.begin);
               e.put_u32(rg.end);
+              put_pull_inputs(e, net, store, sleeping_scratch);
               for (gossip::NodeId v = rg.begin; v < rg.end; ++v) {
                 const bool active = !net.asleep(v);
                 e.put_u8(active ? shard::nodeflag::kActive : std::uint8_t{0});
-                if (!active) continue;
-                shard::put_rng(e, node_rng[v]);
-                shard::put_seq(e, sample_chan.responses(v));
-                shard::put_seq(e, store.view(v));
+                if (active) shard::put_rng(e, node_rng[v]);
               }
             },
             [&](std::size_t frame, shard::ShardRange rg,
@@ -415,9 +422,16 @@ inline HittingSetRunResult run_hitting_set(
               }
               ch.attempts = dec.get_u32();
               ch.failures = dec.get_u32();
+              ch.response_bytes = dec.get_u64();
             });
       } else {
         util::parallel_chunks(pool ? &*pool : nullptr, n, chunk, stage_a);
+      }
+
+      // Meter the round's pulls on the coordinator: every awake node
+      // issued `pulls` of them.
+      for (gossip::NodeId v = 0; v < n; ++v) {
+        if (!net.asleep(v)) net.meter().add_pulls(v, pulls);
       }
 
       // --- Shared-state replay (stage B): only winners and within-cap W_i
@@ -425,6 +439,7 @@ inline HittingSetRunResult run_hitting_set(
       for (const ChunkAcc& ch : chunks) {
         res.stats.sampling_attempts += ch.attempts;
         res.stats.sampling_failures += ch.failures;
+        net.meter().add_response_bytes(ch.response_bytes);
         for (const gossip::NodeId v : ch.replay) {
           ++bookkeeping;
           NodeRound& sc = scratch[v];

@@ -292,15 +292,4 @@ HypercubeClarksonResult<P> run_hypercube_clarkson(
   return res;
 }
 
-/// Seed-positional form kept for the pre-config call sites.
-template <LpTypeProblem P>
-HypercubeClarksonResult<P> run_hypercube_clarkson(
-    const P& p, std::span<const typename P::Element> h_set,
-    std::size_t n_nodes, std::uint64_t seed, std::size_t max_iterations = 0) {
-  HypercubeClarksonConfig cfg;
-  cfg.seed = seed;
-  cfg.max_iterations = max_iterations;
-  return run_hypercube_clarkson(p, h_set, n_nodes, cfg);
-}
-
 }  // namespace lpt::core

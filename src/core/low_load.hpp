@@ -21,9 +21,9 @@
 // ## Simulator cost per round (the large-n engine contract)
 //
 // The only per-round loops proportional to n are the ones that do inherent
-// per-node algorithm work: issuing each awake node's sampler pulls and the
-// stage-A compute (sample selection, local solve, violator scan).  All
-// bookkeeping is proportional to the *active* sets instead:
+// per-node algorithm work: the stage-A compute (each awake node's sampler
+// pulls, sample selection, local solve, violator scan) and metering those
+// pulls.  All bookkeeping is proportional to the *active* sets instead:
 //
 //   * element storage is a slab-backed gossip::NodeStore — |H(V)| is O(1)
 //     (incremental), and the filter pass visits only nodes holding copies;
@@ -43,7 +43,8 @@
 // One run is a pure function of (problem, h_set, n_nodes, cfg): the master
 // seed fans out into the network stream, the placement stream, and n
 // per-node streams.  cfg.parallel_nodes only changes *where* the stage-A
-// compute runs: that stage consumes per-node RNG streams exclusively, every
+// compute runs: that stage consumes per-node RNG streams exclusively (a
+// node draws its own pulls' targets, answers and loss gaps), every
 // shared-RNG side effect is replayed serially in ascending node order in
 // stage B (the chunked stage-A collection preserves that order exactly),
 // and the filter pass consumes per-node streams only — so results are
@@ -106,11 +107,12 @@ struct LowLoadConfig {
   std::size_t dimension_override = 0;  // run as if dim(H, f) were this value
                                        // (the Section 1.4 doubling search on
                                        // an unknown d; 0 = use p.dimension())
-  std::size_t parallel_nodes = 0;  // >1: per-node compute phase (sample
-                                   // selection, local solve, violator scan)
-                                   // runs on this many threads.  Results are
-                                   // bit-identical to the serial run: the
-                                   // phase consumes only the per-node RNG
+  std::size_t parallel_nodes = 0;  // >1: per-node compute phase (pulls,
+                                   // sample selection, local solve,
+                                   // violator scan) runs on this many
+                                   // threads.  Results are bit-identical
+                                   // to the serial run: the phase
+                                   // consumes only the per-node RNG
                                    // streams, and all shared-RNG traffic is
                                    // replayed serially in node order.  Only
                                    // kPullBased sampling parallelizes (the
@@ -147,13 +149,12 @@ namespace detail {
 // NSDMI referencing a function-local constexpr inside a template.
 inline constexpr gossip::NodeId kNoNodeId = 0xffffffffu;
 
-/// One node's stage-A compute (sample selection, local solve, violator
-/// scan) from explicit inputs — the single definition executed by both the
-/// in-process chunk loop and the shard workers, so the two paths cannot
-/// drift.  Consumes `rng` exactly as a serial full scan would; returns
-/// false when the sample failed (no solve, no further draws).
+/// Sample selection, local solve and violator scan from a node's drawn
+/// pull answers (`responses`, reordered in place) and its local multiset.
+/// Consumes `rng` exactly as a serial full scan would; returns false when
+/// the sample failed (no solve, no further draws).
 template <LpTypeProblem P>
-bool low_load_node_stage_a(const P& p, const SamplerConfig& sampler,
+bool low_load_solve_sample(const P& p, const SamplerConfig& sampler,
                            std::span<typename P::Element> responses,
                            std::span<const typename P::Element> local,
                            util::Rng& rng, typename P::Solution& sol,
@@ -178,6 +179,28 @@ bool low_load_node_stage_a(const P& p, const SamplerConfig& sampler,
   return true;
 }
 
+/// One node's stage A: its pulls (draw_pulls on its own stream, against
+/// the round-start `store`), then low_load_solve_sample — the single
+/// definition executed by the in-process chunk loop (over the live
+/// NodeStore) and by the shard workers (over a decoded StoreSnapshot), so
+/// the paths cannot drift.  Adds the answers' wire bytes to
+/// `response_bytes`.
+template <LpTypeProblem P, PullStore<typename P::Element> Store>
+bool low_load_node_stage_a(const P& p, const SamplerConfig& sampler,
+                           const Store& store, const PullRound& round,
+                           gossip::NodeId v, util::Rng& rng,
+                           PullBuffer<typename P::Element>& buf,
+                           std::uint64_t& response_bytes,
+                           typename P::Solution& sol,
+                           std::vector<typename P::Element>& violators) {
+  const std::span<typename P::Element> responses =
+      draw_pulls(store, round, sampler.pulls_per_node(), rng, buf);
+  response_bytes +=
+      pull_response_bytes(std::span<const typename P::Element>(responses));
+  return low_load_solve_sample(p, sampler, responses, store.view(v), rng, sol,
+                               violators);
+}
+
 /// The sharded runtime is available for P when its element and solution
 /// types have shard wire codecs (shard/wire.hpp customization point).
 template <typename P>
@@ -190,12 +213,13 @@ concept ShardableLowLoad = shard::Wirable<typename P::Element> &&
 /// across in-process worker threads (each worker owns a copy).
 ///
 /// Task payload (after the MsgType byte):
-///   u8 found_snapshot · u32 begin · u32 end · per node in [begin, end):
-///     u8 flags; if kActive: rng state, responses seq, local-elements seq.
+///   u8 found_snapshot · u32 begin · u32 end · the round's pull inputs
+///   (put_pull_inputs: loss rate, sorted sleeping nodes, store snapshot) ·
+///   per node in [begin, end): u8 flags; if kActive: rng state.
 /// Result payload:
 ///   per node: u8 flags; if kActive: rng state (advanced); if kReplay:
 ///   violators seq; if kSolution: solution — then u32 attempts,
-///   u32 failures, u32 first_opt (kNoNodeId when none).
+///   u32 failures, u32 first_opt (kNoNodeId when none), u64 response bytes.
 template <LpTypeProblem P>
 auto make_low_load_serve(P p, typename P::Solution oracle,
                          SamplerConfig sampler, bool run_termination) {
@@ -203,15 +227,19 @@ auto make_low_load_serve(P p, typename P::Solution oracle,
   using Solution = typename P::Solution;
   return [p = std::move(p), oracle = std::move(oracle), sampler,
           run_termination, rng = util::Rng{}, sol = Solution{},
-          responses = std::vector<Element>{}, local = std::vector<Element>{},
+          inputs = RemotePullInputs<Element>{}, buf = PullBuffer<Element>{},
           violators = std::vector<Element>{}](gossip::Decoder& d,
                                               gossip::Encoder& e) mutable {
     const bool found_snapshot = d.get_u8() != 0;
     const gossip::NodeId begin = d.get_u32();
     const gossip::NodeId end = d.get_u32();
+    inputs.decode(d);
+    LPT_CHECK_MSG(begin <= end && end <= inputs.store().nodes(),
+                  "shard wire: task range outside the snapshot");
     shard::put_msg_type(e, shard::MsgType::kStageAResult);
     std::uint32_t attempts = 0;
     std::uint32_t failures = 0;
+    std::uint64_t response_bytes = 0;
     gossip::NodeId first_opt = kNoNodeId;
     for (gossip::NodeId v = begin; v < end; ++v) {
       if (!(d.get_u8() & shard::nodeflag::kActive)) {
@@ -219,12 +247,10 @@ auto make_low_load_serve(P p, typename P::Solution oracle,
         continue;
       }
       shard::get_rng(d, rng);
-      shard::get_seq(d, responses);
-      shard::get_seq(d, local);
       ++attempts;
       const bool ok = low_load_node_stage_a(
-          p, sampler, std::span<Element>(responses),
-          std::span<const Element>(local), rng, sol, violators);
+          p, sampler, inputs.store(), inputs.round(), v, rng, buf,
+          response_bytes, sol, violators);
       std::uint8_t flags = shard::nodeflag::kActive;
       if (!ok) {
         ++failures;
@@ -254,6 +280,7 @@ auto make_low_load_serve(P p, typename P::Solution oracle,
     e.put_u32(attempts);
     e.put_u32(failures);
     e.put_u32(first_opt);
+    e.put_u64(response_bytes);
   };
 }
 
@@ -342,20 +369,21 @@ class LowLoadRun {
   struct NodeRound {
     Solution sol;
     std::vector<Element> violators;
-    std::vector<Element> resp;  // idealized-sampling draw buffer
   };
   // Stage-A chunk accumulators: fixed contiguous chunks collect, each in
   // ascending node order, the nodes whose stage-B replay has shared-state
-  // effects, plus sampler counters.  Concatenated in chunk order they
-  // recover the exact node order of a full scan at O(candidates) cost,
-  // independent of the thread count (see util::parallel_chunks).  In the
-  // sharded run the chunks are the shards themselves (contiguous ascending
-  // ranges, applied in shard order — the same contract over the wire).
+  // effects, plus sampler counters and the pull answers' wire bytes.
+  // Concatenated in chunk order they recover the exact node order of a
+  // full scan at O(candidates) cost, independent of the thread count (see
+  // util::parallel_chunks).  In the sharded run the chunks are the shards
+  // themselves (contiguous ascending ranges, applied in shard order — the
+  // same contract over the wire).
   struct ChunkAcc {
     std::vector<gossip::NodeId> replay;
     std::uint32_t attempts = 0;
     std::uint32_t failures = 0;
     gossip::NodeId first_opt = detail::kNoNodeId;
+    std::uint64_t response_bytes = 0;
   };
   static constexpr bool kShardable = detail::ShardableLowLoad<P>;
 
@@ -378,7 +406,7 @@ class LowLoadRun {
   std::size_t max_rounds_ = 0;
   bool sharded_ = false;
   std::optional<shard::ShardHarness> harness_;
-  gossip::PullChannel<Element> sample_chan_;
+  std::vector<gossip::NodeId> sleeping_scratch_;  // task-frame encode scratch
   gossip::PullChannel<Element> seed_chan_;  // Section 2.3 pull phase
   gossip::Mailbox<Element> copies_mail_;    // W_i pushes
   gossip::Mailbox<Element> seeds_mail_;     // (h, 0) pushes
@@ -411,7 +439,6 @@ LowLoadRun<P>::LowLoadRun(const P& p, std::span<const Element> h_set,
                     : 2 * (util::ceil_log2(n_nodes) + 2)),
       net_(n_nodes, util::Rng(cfg.seed).child(0), cfg.faults),
       store_(n_nodes),
-      sample_chan_(net_),
       seed_chan_(net_),
       copies_mail_(net_),
       seeds_mail_(net_),
@@ -557,22 +584,6 @@ void LowLoadRun<P>::step() {
     return store_.elem(target, net_.rng().below(h0));
   });
 
-  // --- Sampling (Algorithm 2 line 3 via Section 2.1), as fused bulk
-  // pulls: each pull draws its target and is answered in place. ---
-  if (cfg_.sampling == SamplingMode::kPullBased) {
-    sample_chan_.begin_pulls();
-    auto answer = [&](gossip::NodeId target, std::vector<Element>& sink) {
-      const std::size_t sz = store_.size(target);
-      if (sz != 0) {
-        sink.push_back(store_.elem(target, net_.rng().below(sz)));
-      }
-    };
-    for (gossip::NodeId v = 0; v < n; ++v) {
-      if (in_pull_phase_[v] || net_.asleep(v) || absent(v)) continue;
-      sample_chan_.pull_uniform_direct(v, pulls_, answer);
-    }
-  }
-
   // Idealized sampling support: per-round prefix sums over store sizes.
   if (cfg_.sampling == SamplingMode::kIdealized) {
     prefix_.assign(n + 1, 0);
@@ -582,20 +593,24 @@ void LowLoadRun<P>::step() {
     }
   }
 
-  // --- Per-node compute (stage A): sample selection, local solve, and
-  // violator scan.  Touches only node-local state and node_rng_[v], so it
-  // fans out across threads when cfg.parallel_nodes asks for it; every
-  // shared-RNG side effect (mailbox pushes, termination traffic) is
-  // collected per chunk and replayed in stage B in node order, making
-  // parallel runs bit-identical to serial ones.
+  // --- Per-node compute (stage A): the node's pulls (Algorithm 2 line 3
+  // via Section 2.1), sample selection, local solve, and violator scan.
+  // Touches only node_rng_[v] and the store, which stays read-only until
+  // delivery, so it fans out across threads when cfg.parallel_nodes asks
+  // for it; every shared-RNG side effect (mailbox pushes, termination
+  // traffic) is collected per chunk and replayed in stage B in node order,
+  // making parallel runs bit-identical to serial ones.
   const bool found_snapshot = found_;
+  const PullRound pull_round = core::pull_round(net_);
   auto stage_a = [&](std::size_t k, std::size_t begin, std::size_t end) {
     obs::TraceSpan chunk_span("low_load.stage_a.chunk", k);
+    thread_local PullBuffer<Element> buf;
     ChunkAcc& ch = chunks_[k];
     ch.replay.clear();
     ch.attempts = 0;
     ch.failures = 0;
     ch.first_opt = detail::kNoNodeId;
+    ch.response_bytes = 0;
     for (std::size_t vi = begin; vi < end; ++vi) {
       const auto v = static_cast<gossip::NodeId>(vi);
       if (net_.asleep(v) || in_pull_phase_[v] || absent(v)) continue;
@@ -603,28 +618,25 @@ void LowLoadRun<P>::step() {
       NodeRound& sc = scratch_[v];
       bool ok;
       if (cfg_.sampling == SamplingMode::kPullBased) {
-        // Select straight out of the channel's CSR slice: each slice is
-        // consumed exactly once per round, so reordering it in place is
-        // safe, and the sample stays a zero-copy view into it.
-        ok = detail::low_load_node_stage_a(
-            p_, sampler_, sample_chan_.mutable_responses(v), store_.view(v),
-            node_rng_[v], sc.sol, sc.violators);
+        ok = detail::low_load_node_stage_a(p_, sampler_, store_, pull_round,
+                                           v, node_rng_[v], buf,
+                                           ch.response_bytes, sc.sol,
+                                           sc.violators);
       } else {
         const std::size_t m = prefix_[n];
-        sc.resp.clear();
-        sc.resp.reserve(pulls_);
+        buf.responses.clear();
         for (std::size_t k2 = 0; k2 < pulls_ && m > 0; ++k2) {
           net_.meter().add_pull(v, 0);
           const std::size_t g = node_rng_[v].below(m);
           const auto it =
               std::upper_bound(prefix_.begin(), prefix_.end(), g) - 1;
           const auto node = static_cast<std::size_t>(it - prefix_.begin());
-          sc.resp.push_back(
+          buf.responses.push_back(
               store_.elem(static_cast<gossip::NodeId>(node), g - *it));
           net_.meter().add_response_bytes(sizeof(Element));
         }
-        ok = detail::low_load_node_stage_a(
-            p_, sampler_, std::span<Element>(sc.resp), store_.view(v),
+        ok = detail::low_load_solve_sample(
+            p_, sampler_, std::span<Element>(buf.responses), store_.view(v),
             node_rng_[v], sc.sol, sc.violators);
       }
       if (!ok) {
@@ -643,23 +655,22 @@ void LowLoadRun<P>::step() {
   bool ran_on_shards = false;
   if constexpr (kShardable) {
     if (sharded_) {
-      // Ship each shard its per-node stage-A inputs in bounded
-      // sub-frames; per-frame results land in frame-indexed ChunkAccs,
-      // which stage B walks in index order — shard-major contiguous
-      // ascending ranges, i.e. the serial full-scan node order.
+      // Ship each shard, in bounded sub-frames, the round's read-only pull
+      // inputs once plus each node's flags and RNG state; the workers draw
+      // the pulls themselves.  Per-frame results land in frame-indexed
+      // ChunkAccs, which stage B walks in index order — shard-major
+      // contiguous ascending ranges, i.e. the serial full-scan node order.
       harness_->round(
           [&](shard::ShardRange r, gossip::Encoder& e) {
             e.put_u8(found_snapshot ? 1 : 0);
             e.put_u32(r.begin);
             e.put_u32(r.end);
+            put_pull_inputs(e, net_, store_, sleeping_scratch_);
             for (gossip::NodeId v = r.begin; v < r.end; ++v) {
               const bool active =
                   !net_.asleep(v) && !in_pull_phase_[v] && !absent(v);
               e.put_u8(active ? shard::nodeflag::kActive : std::uint8_t{0});
-              if (!active) continue;
-              shard::put_rng(e, node_rng_[v]);
-              shard::put_seq(e, sample_chan_.responses(v));
-              shard::put_seq(e, store_.view(v));
+              if (active) shard::put_rng(e, node_rng_[v]);
             }
           },
           [&](std::size_t frame, shard::ShardRange r, gossip::Decoder& dec) {
@@ -681,12 +692,23 @@ void LowLoadRun<P>::step() {
             ch.attempts = dec.get_u32();
             ch.failures = dec.get_u32();
             ch.first_opt = dec.get_u32();
+            ch.response_bytes = dec.get_u64();
           });
       ran_on_shards = true;
     }
   }
   if (!ran_on_shards) {
     util::parallel_chunks(pool_ ? &*pool_ : nullptr, n, chunk_, stage_a);
+  }
+
+  // --- Meter the round's pulls on the coordinator: every active node
+  // issued pulls_ of them (the idealized sampler metered its own). ---
+  if (cfg_.sampling == SamplingMode::kPullBased) {
+    for (gossip::NodeId v = 0; v < n; ++v) {
+      if (!net_.asleep(v) && !in_pull_phase_[v] && !absent(v)) {
+        net_.meter().add_pulls(v, pulls_);
+      }
+    }
   }
 
   // --- Shared-state replay (stage B): walk the pull-phase list and the
@@ -715,6 +737,7 @@ void LowLoadRun<P>::step() {
   for (const ChunkAcc& ch : chunks_) {
     res_.stats.sampling_attempts += ch.attempts;
     res_.stats.sampling_failures += ch.failures;
+    net_.meter().add_response_bytes(ch.response_bytes);
     if (first_opt == detail::kNoNodeId) first_opt = ch.first_opt;
     for (const gossip::NodeId v : ch.replay) {
       replay_pull_below(v);

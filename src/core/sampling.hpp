@@ -6,6 +6,13 @@
 // sampling fails if fewer than `target` distinct elements arrive (Lemma 11:
 // with c large enough this happens with polynomially small probability).
 //
+// A pull is the puller's own action: draw_pulls draws node v's targets,
+// answer indices and response-loss gaps from v's private stream, against
+// the stores as they stood at the start of the round (read-only until
+// delivery).  So the whole sampler runs in the engines' stage A, on any
+// thread or shard worker, and one definition serves the live
+// gossip::NodeStore and a shard worker's decoded shard::StoreSnapshot.
+//
 // `strict` toggles the theory-faithful failure rule.  With strict = false
 // (the default used to reproduce the paper's experiments) a short sample is
 // returned as-is: on instances with |H| < target the returned R is simply
@@ -21,7 +28,11 @@
 #include <span>
 #include <vector>
 
+#include "gossip/codec.hpp"
 #include "gossip/mailbox.hpp"
+#include "gossip/network.hpp"
+#include "shard/wire.hpp"
+#include "util/assert.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
@@ -116,6 +127,137 @@ struct SamplerConfig {
                           static_cast<double>(log_n));
     return static_cast<std::size_t>(s) + 1;
   }
+};
+
+/// What every Section 2.1 pull of one round sees besides the puller's own
+/// stream: targets are uniform over [0, nodes); a target whose `asleep`
+/// flag is set answers nothing (an empty span: nobody sleeps), and an awake
+/// target's answer is lost with probability `response_loss`.
+struct PullRound {
+  std::size_t nodes = 0;
+  std::span<const std::uint8_t> asleep;
+  double response_loss = 0.0;
+};
+
+/// The current round of `net`, as its pulls see it.
+inline PullRound pull_round(const gossip::Network& net) noexcept {
+  PullRound r;
+  r.nodes = net.size();
+  if (net.asleep_count() > 0) r.asleep = net.asleep_flags();
+  r.response_loss = net.faults().response_loss;
+  return r;
+}
+
+/// A read-only view of every node's multiset that can answer pulls:
+/// gossip::NodeStore and shard::StoreSnapshot.
+template <typename S, typename Element>
+concept PullStore = requires(const S& s, gossip::NodeId v, std::size_t i) {
+  { s.size(v) } -> std::convertible_to<std::size_t>;
+  { s.elem(v, i) } -> std::convertible_to<const Element&>;
+  { s.view(v) } -> std::convertible_to<std::span<const Element>>;
+};
+
+/// Per-thread scratch of draw_pulls.  Both buffers keep their capacity, so
+/// the steady state allocates nothing.
+template <typename Element>
+struct PullBuffer {
+  std::vector<gossip::NodeId> targets;
+  std::vector<Element> responses;
+};
+
+/// One node's `pulls` pulls, drawn from the puller's own stream `rng`: all
+/// targets first, then per target in order the response-loss gap (only
+/// under loss, as geometric gaps) and the answer index below(size).  Asleep
+/// targets and empty stores answer nothing and draw nothing.  Returns the
+/// answers in pull order — a view into buf.responses, valid until the next
+/// call, which the caller may reorder in place (selection does).
+template <typename Element, PullStore<Element> Store>
+std::span<Element> draw_pulls(const Store& store, const PullRound& round,
+                              std::size_t pulls, util::Rng& rng,
+                              PullBuffer<Element>& buf) {
+  util::Rng r = rng;  // a local copy keeps the stream state in registers
+  buf.targets.resize(pulls);
+  for (gossip::NodeId& t : buf.targets) {
+    t = static_cast<gossip::NodeId>(r.below(round.nodes));
+  }
+  buf.responses.clear();
+  auto answer = [&](gossip::NodeId t) {
+    const std::size_t sz = store.size(t);
+    if (sz != 0) buf.responses.push_back(store.elem(t, r.below(sz)));
+  };
+  const double p = round.response_loss;
+  if (round.asleep.empty() && !(p > 0.0)) {
+    for (const gossip::NodeId t : buf.targets) answer(t);
+  } else {
+    gossip::LossStream loss;
+    for (const gossip::NodeId t : buf.targets) {
+      if (!round.asleep.empty() && round.asleep[t]) continue;
+      if (p > 0.0 && loss.drop(r, p)) continue;  // answer lost
+      answer(t);
+    }
+  }
+  rng = r;
+  return buf.responses;
+}
+
+/// Wire bytes of a batch of pull answers (the responders' traffic, which
+/// the engines meter on the coordinator).
+template <typename Element>
+std::uint64_t pull_response_bytes(std::span<const Element> responses) {
+  using gossip::wire_size;
+  std::uint64_t bytes = 0;
+  for (const Element& x : responses) bytes += wire_size(x);
+  return bytes;
+}
+
+/// The shared part of a shard task frame: one round's pull inputs, encoded
+/// once per frame.  Schema: f64 response_loss · the sleeping nodes as a
+/// sorted u32 seq · shard::put_store_snapshot(store).  `sleeping` is
+/// scratch for the sort.  Kept out of line: inlined into a caller that has
+/// just written a fixed-size header, GCC 12 reports a false
+/// -Wstringop-overflow inside the encoder's vector growth.
+template <typename Store>
+[[gnu::noinline]] void put_pull_inputs(gossip::Encoder& e,
+                                       const gossip::Network& net,
+                                       const Store& store,
+                                       std::vector<gossip::NodeId>& sleeping) {
+  e.put_f64(net.faults().response_loss);
+  sleeping.assign(net.sleeping().begin(), net.sleeping().end());
+  std::sort(sleeping.begin(), sleeping.end());
+  shard::put_seq(e, std::span<const gossip::NodeId>(sleeping));
+  shard::put_store_snapshot(e, store);
+}
+
+/// A shard worker's decoded put_pull_inputs: the snapshot that answers the
+/// shard's pulls and the round they see.  Buffers keep their capacity.
+template <typename Element>
+class RemotePullInputs {
+ public:
+  void decode(gossip::Decoder& d) {
+    round_.response_loss = d.get_f64();
+    shard::get_seq(d, sleeping_);
+    store_.decode(d);
+    const std::size_t n = store_.nodes();
+    asleep_.assign(n, 0);
+    for (const gossip::NodeId v : sleeping_) {
+      LPT_CHECK_MSG(v < n, "shard wire: sleeping node out of range");
+      asleep_[v] = 1;
+    }
+    round_.nodes = n;
+    round_.asleep = sleeping_.empty() ? std::span<const std::uint8_t>{}
+                                      : std::span<const std::uint8_t>(asleep_);
+  }
+
+  const shard::StoreSnapshot<Element>& store() const noexcept {
+    return store_;
+  }
+  const PullRound& round() const noexcept { return round_; }
+
+ private:
+  shard::StoreSnapshot<Element> store_;
+  std::vector<gossip::NodeId> sleeping_;
+  std::vector<std::uint8_t> asleep_;
+  PullRound round_;
 };
 
 /// Outcome of one node's sampling attempt.

@@ -9,8 +9,11 @@
 // PullChannel<A>: request(from) records a pull aimed at a uniformly random
 //                node; resolve(responder) invokes the protocol's answer
 //                function on each target and hands responses back to the
-//                requesters.  The sampling procedures of Sections 2.1 and 4
-//                are built on this channel.
+//                requesters.  The Section 2.3 pull phase and the gossip
+//                protocols are built on this channel; the Section 2.1
+//                sampler of the low-load and hitting-set engines draws each
+//                node's pulls from the puller's own stream instead
+//                (core/sampling.hpp draw_pulls), so it runs in stage A.
 //
 // Layout: instead of one std::vector per node, each channel keeps a single
 // contiguous payload buffer plus per-node [begin, count) slices built by a
@@ -267,50 +270,6 @@ class PullChannel {
     requests_.emplace_back(from, net_->random_peer());
   }
 
-  /// Begin a fused bulk-pull round.  The uniform samplers issue hundreds of
-  /// pulls per node per round; staging (from, target) pairs and replaying
-  /// them in resolve() doubles the memory traffic of the hottest loop in
-  /// the simulator.  begin_pulls() + pull_uniform() fuse the request and
-  /// answer: each pull draws its target and is answered in place, writing
-  /// straight into the CSR payload.  Callers must issue at most one
-  /// pull_uniform() per node, with strictly increasing `from`, and must
-  /// not mix request()/resolve() into the same round.
-  void begin_pulls() {
-    index_.new_epoch();
-    ans_log_.clear();
-    ans_built_ = false;
-    payload_.clear();
-    loss_ = LossStream{};
-  }
-
-  /// `count` uniform pulls by node `from`, answered immediately by
-  /// `responder` (same contract as resolve()'s responder).  Meters the
-  /// pulls in bulk.
-  template <typename F>
-  void pull_uniform(NodeId from, std::size_t count, F&& responder) {
-    pull_uniform_direct(from, count,
-                        [&responder](NodeId target, std::vector<A>& sink) {
-                          std::optional<A> ans = responder(target);
-                          if (ans) sink.push_back(std::move(*ans));
-                        });
-  }
-
-  /// Direct-append form of pull_uniform: `answerer(target, sink)` either
-  /// push_back()s exactly one answer into `sink` or leaves it untouched
-  /// ("no reply").  Skips the optional round-trip — this is the hottest
-  /// loop of the whole simulator.  Appended payload bytes are metered via
-  /// wire_size after the batch.
-  template <typename F>
-  void pull_uniform_direct(NodeId from, std::size_t count, F&& answerer) {
-    net_->meter().add_pulls(from, count);
-    const auto& f = net_->faults();
-    if (f.response_loss > 0.0 || net_->asleep_count() > 0) {
-      pull_uniform_impl<true>(from, count, answerer);
-    } else {
-      pull_uniform_impl<false>(from, count, answerer);
-    }
-  }
-
   /// Answer all outstanding requests.  `responder(target) -> std::optional<A>`
   /// is the protocol-defined answer of node `target`; nullopt models "no
   /// reply" (e.g. an empty node in the Section 2.1 sampler).  Response
@@ -336,20 +295,10 @@ class PullChannel {
     return {payload_.data() + index_.begin(v), index_.count_of(v)};
   }
 
-  /// Mutable view of node v's responses.  A sampler may reorder/consume
-  /// its own slice in place (each slice is read exactly once per round),
-  /// saving a copy of the hot path's entire data volume.
-  std::span<A> mutable_responses(NodeId v) noexcept {
-    if (!index_.live(v)) return {};
-    return {payload_.data() + index_.begin(v), index_.count_of(v)};
-  }
-
   /// How many requests node v answered in the last resolve() (for load
   /// diagnostics; the paper's work measure counts initiated ops).  Built
   /// lazily from the answer log on first query, so the resolve hot loop
-  /// carries no per-answer random-access bookkeeping.  The fused
-  /// pull_uniform() path does not log answers — after a bulk round
-  /// answered() reports 0.
+  /// carries no per-answer random-access bookkeeping.
   std::uint32_t answered(NodeId v) const {
     if (!ans_built_) {
       ans_index_.new_epoch();
@@ -362,35 +311,6 @@ class PullChannel {
   }
 
  private:
-  template <bool kFaults, typename F>
-  void pull_uniform_impl(NodeId from, std::size_t count, F&& answerer) {
-    LPT_CHECK_MSG(!index_.live(from),
-                  "pull_uniform: one batch per node per round");
-    index_.open(from, payload_.size());
-    const double p = net_->faults().response_loss;
-    // Draw the node's targets up front: a tight RNG loop whose resolved
-    // addresses the out-of-order core can chase ahead of the answer loop.
-    targets_.resize(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      targets_[k] = net_->random_peer();
-    }
-    const std::size_t before = payload_.size();
-    for (std::size_t k = 0; k < count; ++k) {
-      const NodeId target = targets_[k];
-      if constexpr (kFaults) {
-        if (net_->asleep(target)) continue;
-        if (p > 0.0 && loss_.drop(net_->rng(), p)) continue;  // lost
-      }
-      answerer(target, payload_);
-    }
-    index_.close(from, payload_.size() - before);
-    std::uint64_t bytes = 0;
-    for (std::size_t i = before; i < payload_.size(); ++i) {
-      bytes += wire_size(payload_[i]);
-    }
-    if (bytes != 0) net_->meter().add_response_bytes(bytes);
-  }
-
   template <bool kFaults, typename F>
   void resolve_impl(F&& responder) {
     // The responder is invoked in request order in both paths.  Engines
@@ -452,10 +372,8 @@ class PullChannel {
   mutable detail::CsrIndex ans_index_;   // answered counts (lazy)
   mutable bool ans_built_ = false;
   std::vector<NodeId> ans_log_;   // responders of the last resolve, in order
-  std::vector<NodeId> targets_;   // per-call target batch (capacity reused)
   bool requests_sorted_ = true;   // requesters arrived in nondecreasing order
   NodeId last_from_ = 0;
-  LossStream loss_;  // geometric loss state across pull_uniform calls
 };
 
 }  // namespace lpt::gossip

@@ -9,8 +9,11 @@
 // The simulator's job is to (1) choose peers uniformly at random from a
 // seeded stream, (2) enforce round-buffered delivery for pushes, and
 // (3) meter per-node work and bytes.  Algorithm code must do all cross-node
-// communication through Mailbox / PullChannel; node logic never touches
-// another node's state directly, preserving the model's information flow.
+// communication through Mailbox / PullChannel, or through the Section 2.1
+// pull sampler (core/sampling.hpp draw_pulls), which answers a node's pulls
+// against the other nodes' stores as they stood at the start of the round;
+// node logic never touches another node's state directly, preserving the
+// model's information flow.
 #pragma once
 
 #include <algorithm>
@@ -106,7 +109,8 @@ inline std::uint64_t geometric_gap(util::Rng& rng, double p) noexcept {
 /// Stateful geometric-gap loss stream: drop(rng, p) answers "is this event
 /// lost?" consuming one RNG draw per *lost* event.  The first call arms the
 /// stream lazily, so a fault-free sweep (p checked by the caller) draws
-/// nothing.  Shared by the pull channels and the hypercube baseline.
+/// nothing.  Shared by the pull channel, the Section 2.1 sampler (one stream
+/// per puller) and the hypercube baseline.
 struct LossStream {
   std::uint64_t gap = 0;
   bool armed = false;
@@ -276,6 +280,15 @@ class Network {
 
   /// True if node v sleeps through the current round (fault injection).
   bool asleep(NodeId v) const noexcept { return asleep_[v] != 0; }
+
+  /// All n sleep flags of the current round, indexed by node id (what the
+  /// pull sampler reads: an asleep target answers nothing).
+  std::span<const std::uint8_t> asleep_flags() const noexcept {
+    return asleep_;
+  }
+
+  /// The nodes asleep this round, in draw order (not sorted).
+  std::span<const NodeId> sleeping() const noexcept { return sleeping_; }
 
   /// Number of nodes asleep this round (the sparse sleep set's size) — lets
   /// engines compute "how many nodes acted" arithmetically instead of

@@ -12,7 +12,8 @@
 //   1. the coordinator owns the whole simulation state (network, store,
 //      channels) and remains the only writer of shared state;
 //   2. per round it ships each worker a stage-A task frame with the
-//      worker's shard of per-node inputs (shard/wire.hpp);
+//      round's read-only pull inputs (a store snapshot) and the worker's
+//      shard of per-node inputs (flags, RNG states; shard/wire.hpp);
 //   3. each worker computes stage A for its contiguous node range and
 //      answers with its stage-B candidate list in ascending node order,
 //      plus payloads and advanced per-node RNG states;
@@ -378,6 +379,7 @@ class ShardHarness {
                L.head < L.q.size()) {
           const std::size_t f = L.q[L.head];
           if (task_bytes_[f].empty()) {
+            obs::TraceSpan encode_span("shard.encode", f);
             gossip::Encoder e;
             put_msg_type(e, MsgType::kStageATask);
             encode_task(frames_[f], e);
@@ -388,6 +390,7 @@ class ShardHarness {
             continue;  // respawned: retry the frame; reassigned: lane
                        // is no longer live and the while exits
           }
+          bytes_task_.add(task_bytes_[f].size());
           obs::trace_instant("shard.frame_send", f);
           ++L.head;
           L.inflight = f;
@@ -411,11 +414,15 @@ class ShardHarness {
             on_worker_down(s, DownCause::kCorrupt);
             continue;
           }
-          gossip::Decoder d(r.frame);
-          (void)get_msg_type(d);
-          apply_result(f, frames_[f], d);
-          LPT_CHECK_MSG(d.exhausted(),
-                        "shard coordinator: trailing bytes in result");
+          bytes_result_.add(r.frame.size());
+          {
+            obs::TraceSpan decode_span("shard.decode", f);
+            gossip::Decoder d(r.frame);
+            (void)get_msg_type(d);
+            apply_result(f, frames_[f], d);
+            LPT_CHECK_MSG(d.exhausted(),
+                          "shard coordinator: trailing bytes in result");
+          }
           task_bytes_[f].clear();  // keeps capacity for the next round
           L.inflight = kNoFrame;
           ++applied;
@@ -468,7 +475,9 @@ class ShardHarness {
   /// on_worker_down mid-recovery).
   void send_bootstrap(std::size_t s) {
     if (bootstrap_frame_.empty()) return;
-    (void)transport_->endpoint(s).send(bootstrap_frame_);
+    if (transport_->endpoint(s).send(bootstrap_frame_)) {
+      bytes_bootstrap_.add(bootstrap_frame_.size());
+    }
   }
 
   /// Coordinator-side schedule state for one worker: the FIFO of frame
@@ -599,6 +608,12 @@ class ShardHarness {
   // spawn and respawn of every shard.
   std::vector<std::uint8_t> bootstrap_frame_;
   std::unique_ptr<Transport> transport_;
+  // Wire bytes per message type (payloads, type byte included, length
+  // prefix not): tasks and bootstraps sent, results received.  Re-sent
+  // frames count again — they cross the wire again.
+  obs::Counter& bytes_task_ = obs::counter("shard.bytes.task");
+  obs::Counter& bytes_result_ = obs::counter("shard.bytes.result");
+  obs::Counter& bytes_bootstrap_ = obs::counter("shard.bytes.bootstrap");
 };
 
 }  // namespace lpt::shard

@@ -2,18 +2,21 @@
 //
 // The coordinator/worker protocol is a strict request/response lockstep per
 // simulated round: the coordinator sends each worker one stage-A *task*
-// frame carrying the per-node inputs of the worker's shard (node flags, the
-// node's private RNG state, its pull responses, its local element multiset),
-// and the worker answers with one stage-A *result* frame carrying the
-// shard's ascending-node-order stage-B candidate list, sampler counters,
-// per-node violator/push payloads, solutions where stage B will need them,
-// and the advanced per-node RNG states (the coordinator's filter pass and
-// the next round's stage A continue those streams, so they must round-trip
-// exactly).  A shutdown frame ends the worker loop.  Workers that inherit
-// nothing via fork (the socket transport's, or any remotely launched
-// worker) are sent a *bootstrap* frame before their first task: the
-// run-static problem description (problem elements, oracle solution,
-// sampler constants), re-sent to every respawned replacement.
+// frame carrying the round's read-only pull inputs (a snapshot of every
+// node's store, the sleeping nodes, the response-loss rate) once, then per
+// node of the worker's shard only its flags and private RNG state — the
+// worker draws each node's pulls from that stream against the snapshot
+// (core/sampling.hpp) — and the worker answers with one stage-A *result*
+// frame carrying the shard's ascending-node-order stage-B candidate list,
+// sampler counters and response bytes, per-node violator/push payloads,
+// solutions where stage B will need them, and the advanced per-node RNG
+// states (the coordinator's filter pass and the next round's stage A
+// continue those streams, so they must round-trip exactly).  A shutdown
+// frame ends the worker loop.  Workers that inherit nothing via fork (the
+// socket transport's, or any remotely launched worker) are sent a
+// *bootstrap* frame before their first task: the run-static problem
+// description (problem elements, oracle solution, sampler constants),
+// re-sent to every respawned replacement.
 //
 // Framing: every frame is a u32 little-endian payload length followed by
 // the payload; the payload's first byte is the MsgType.  Length prefixes
@@ -172,6 +175,68 @@ void get_seq(gossip::Decoder& d, std::vector<T>& out) {
     out.push_back(x);
   }
 }
+
+// --- Store snapshots: every node's multiset, read-only on a worker. ------
+
+/// Encode a read-only snapshot of every node's multiset.  `store` is any
+/// store with nodes() and view(v) (gossip::NodeStore).  Schema: u32 n ·
+/// n x u32 per-node size · all elements, node-major, each via wire_put.
+template <typename Store>
+void put_store_snapshot(gossip::Encoder& e, const Store& store) {
+  const std::size_t n = store.nodes();
+  e.put_u32(static_cast<std::uint32_t>(n));
+  for (std::size_t v = 0; v < n; ++v) {
+    e.put_u32(static_cast<std::uint32_t>(
+        store.view(static_cast<gossip::NodeId>(v)).size()));
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    for (const auto& x : store.view(static_cast<gossip::NodeId>(v))) {
+      wire_put(e, x);
+    }
+  }
+}
+
+/// A decoded put_store_snapshot: the read API of gossip::NodeStore (size,
+/// elem, view) over flat buffers that keep their capacity across decodes.
+template <Wirable T>
+class StoreSnapshot {
+ public:
+  std::size_t nodes() const noexcept {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  std::size_t size(gossip::NodeId v) const noexcept {
+    return offsets_[v + 1] - offsets_[v];
+  }
+  const T& elem(gossip::NodeId v, std::size_t i) const noexcept {
+    return elems_[offsets_[v] + i];
+  }
+  std::span<const T> view(gossip::NodeId v) const noexcept {
+    return {elems_.data() + offsets_[v], size(v)};
+  }
+
+  /// Replace the contents with one encoded snapshot.  Length fields are
+  /// checked against the bytes remaining before anything is reserved.
+  void decode(gossip::Decoder& d) {
+    const std::uint32_t n = d.get_u32();
+    LPT_CHECK_MSG(n <= d.remaining() / sizeof(std::uint32_t),
+                  "shard wire: store snapshot too long");
+    offsets_.resize(std::size_t{n} + 1);
+    offsets_[0] = 0;
+    std::uint64_t total = 0;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      total += d.get_u32();
+      LPT_CHECK_MSG(total <= d.remaining() / kWireElemBytes<T>,
+                    "shard wire: store snapshot too long");
+      offsets_[v + 1] = static_cast<std::uint32_t>(total);
+    }
+    elems_.resize(static_cast<std::size_t>(total));
+    for (T& x : elems_) wire_get(d, x);
+  }
+
+ private:
+  std::vector<std::uint32_t> offsets_;  // node v's slice: [off[v], off[v+1])
+  std::vector<T> elems_;
+};
 
 // --- RNG stream state convenience wrappers. ------------------------------
 

@@ -119,7 +119,9 @@ TEST(HypercubeClarkson, MatchesOracleAndCountsRounds) {
   const auto pts =
       testsupport::make_disk_points(DiskDataset::kTripleDisk, 1024, 9);
   const auto oracle = p.solve(pts);
-  const auto res = core::run_hypercube_clarkson(p, pts, 1024, 42);
+  core::HypercubeClarksonConfig cfg;
+  cfg.seed = 42;
+  const auto res = core::run_hypercube_clarkson(p, pts, 1024, cfg);
   EXPECT_TRUE(res.converged);
   EXPECT_TRUE(p.same_value(res.solution, oracle));
   // Rounds = Theta(iterations * log n): at least log2(1024) = 10 per
@@ -131,7 +133,9 @@ TEST(HypercubeClarkson, MatchesOracleAndCountsRounds) {
 TEST(HypercubeClarkson, SmallInputShortCircuits) {
   problems::MinDisk p;
   std::vector<geom::Vec2> pts{{0, 0}, {1, 0}};
-  const auto res = core::run_hypercube_clarkson(p, pts, 16, 1);
+  core::HypercubeClarksonConfig cfg;
+  cfg.seed = 1;
+  const auto res = core::run_hypercube_clarkson(p, pts, 16, cfg);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 0u);
   EXPECT_GT(res.rounds, 0u);

@@ -104,19 +104,6 @@ TEST(HypercubeParallel, EarlyTerminationIsBitIdenticalToo) {
   }
 }
 
-TEST(HypercubeParallel, SeedPositionalFormMatchesConfigForm) {
-  MinDisk p;
-  const std::size_t n = 128;
-  const auto pts = testsupport::golden_disk_points(DiskDataset::kDuoDisk, n);
-
-  core::HypercubeClarksonConfig cfg;
-  cfg.seed = 9;
-  const auto via_cfg = core::run_hypercube_clarkson(p, pts, n, cfg);
-  const auto via_seed =
-      core::run_hypercube_clarkson(p, pts, n, std::uint64_t{9});
-  expect_identical(via_cfg, via_seed, 1);
-}
-
 TEST(HypercubeParallel, SmallInputShortCircuitIsThreadCountInvariant) {
   MinDisk p;
   std::vector<geom::Vec2> pts{{0, 0}, {1, 0}, {0, 1}};

@@ -3,6 +3,7 @@
 // phase must produce bit-identical results for any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 
@@ -21,6 +22,11 @@ namespace {
 
 using problems::MinDisk;
 using workloads::DiskDataset;
+
+// parallel_nodes values the bit-identity tests sweep: odd and even pool
+// sizes, more threads than cores, and the host's core count.
+const std::size_t kThreadCounts[] = {
+    2, 3, 4, 8, std::max<std::size_t>(2, std::thread::hardware_concurrency())};
 
 double engine_run(std::uint64_t seed) {
   MinDisk p;
@@ -151,7 +157,7 @@ TEST(ParallelNodes, LowLoadBitIdenticalToSerial) {
   serial_cfg.seed = 33;
   const auto serial = core::run_low_load(p, pts, n, serial_cfg);
 
-  for (const std::size_t threads : {2, 4, 8}) {
+  for (const std::size_t threads : kThreadCounts) {
     core::LowLoadConfig cfg;
     cfg.seed = 33;
     cfg.parallel_nodes = threads;
@@ -225,7 +231,7 @@ TEST(ParallelNodes, HittingSetBitIdenticalToSerial) {
   const auto serial = core::run_hitting_set(p, n, serial_cfg);
   ASSERT_TRUE(serial.valid);
 
-  for (const std::size_t threads : {2, 4, 8}) {
+  for (const std::size_t threads : kThreadCounts) {
     core::HittingSetConfig cfg = serial_cfg;
     cfg.parallel_nodes = threads;
     const auto par = core::run_hitting_set(p, n, cfg);
@@ -346,7 +352,7 @@ TEST(ParallelNodes, BookkeepingCountersBitIdenticalAcrossThreadCounts) {
   serial_cfg.seed = 91;
   serial_cfg.min_rounds = 12;  // include quiescent late rounds
   const auto serial = core::run_low_load(p, pts, n, serial_cfg);
-  for (const std::size_t threads : {2, 4, 8}) {
+  for (const std::size_t threads : kThreadCounts) {
     core::LowLoadConfig cfg = serial_cfg;
     cfg.parallel_nodes = threads;
     const auto par = core::run_low_load(p, pts, n, cfg);

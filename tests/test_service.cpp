@@ -379,7 +379,7 @@ TEST(Service, DirectQueriesAreAnsweredBetweenTheRoundsOfARun) {
 TEST(Service, PendingCountsTheInFlightRunAndIdleEpochsStepIt) {
   LptService svc(small_test_config());
   const auto large =
-      testsupport::golden_disk_points(DiskDataset::kDuoDisk, 300);
+      testsupport::golden_disk_points(DiskDataset::kTripleDisk, 1000);
   const auto q = disk_query(4, large);
   const auto engine =
       core::run_low_load(problems::MinDisk{}, std::span<const geom::Vec2>(large),

@@ -6,7 +6,8 @@
 // (in-process queues, pipes, loopback TCP sockets — the socket runs
 // bootstrap their workers over the wire), with and without loss/sleep
 // faults, and so is a low-load run stepped with other work between its
-// rounds.
+// rounds.  Workers draw the pulls from a decoded store snapshot; the
+// PullSampler tests pin that to the live store's draws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,9 @@
 #include "core/hitting_set.hpp"
 #include "core/low_load.hpp"
 #include "core/result.hpp"
+#include "core/sampling.hpp"
+#include "gossip/network.hpp"
+#include "obs/obs.hpp"
 #include "problems/min_disk.hpp"
 #include "shard/plan.hpp"
 #include "shard/runtime.hpp"
@@ -188,6 +192,169 @@ static_assert(shard::Wirable<lp::Halfplane>);
 static_assert(shard::Wirable<util::RngState>);
 static_assert(shard::Wirable<problems::MinDiskSolution>);
 static_assert(core::detail::ShardableLowLoad<problems::MinDisk>);
+
+// ---------------------------------------------------------------------
+// The Section 2.1 pull sampler over a decoded store snapshot: a shard
+// worker draws exactly the pulls the coordinator would have drawn.
+// ---------------------------------------------------------------------
+
+// Node v's elements carry v in x, so an answer names its responder.
+gossip::NodeStore<geom::Vec2> make_pull_store(std::size_t n,
+                                              std::uint64_t seed) {
+  gossip::NodeStore<geom::Vec2> store(n);
+  util::Rng rng(seed);
+  for (gossip::NodeId v = 0; v < n; ++v) {
+    const std::size_t originals = rng.below(3);
+    const std::size_t copies = rng.below(4);
+    for (std::size_t i = 0; i < originals; ++i) {
+      store.add_original(v, {static_cast<double>(v), static_cast<double>(i)});
+    }
+    for (std::size_t i = 0; i < copies; ++i) {
+      store.add_copy(v,
+                     {static_cast<double>(v), 10.0 + static_cast<double>(i)});
+    }
+  }
+  // Churned-out nodes: their stores were handed off and cleared.
+  for (gossip::NodeId v = 3; v < n; v += 7) store.clear_node(v);
+  return store;
+}
+
+// Encode the round's pull inputs as a task frame does and decode them as a
+// worker does; then every node's pulls, drawn from the same RNG state
+// against the live store and against the snapshot, must agree answer for
+// answer and leave the stream in the same state.
+void expect_snapshot_pulls_match(const gossip::Network& net,
+                                 const gossip::NodeStore<geom::Vec2>& store,
+                                 std::size_t pulls, const std::string& what) {
+  std::vector<gossip::NodeId> sleeping;
+  gossip::Encoder e;
+  core::put_pull_inputs(e, net, store, sleeping);
+  gossip::Decoder d(e.bytes());
+  core::RemotePullInputs<geom::Vec2> remote;
+  remote.decode(d);
+  ASSERT_TRUE(d.exhausted()) << what;
+  ASSERT_EQ(remote.store().nodes(), store.nodes()) << what;
+
+  const core::PullRound live_round = core::pull_round(net);
+  EXPECT_EQ(remote.round().nodes, live_round.nodes) << what;
+  EXPECT_EQ(remote.round().asleep.empty(), live_round.asleep.empty()) << what;
+  EXPECT_EQ(remote.round().response_loss, live_round.response_loss) << what;
+
+  core::PullBuffer<geom::Vec2> live_buf;
+  core::PullBuffer<geom::Vec2> remote_buf;
+  std::size_t answered = 0;
+  for (gossip::NodeId v = 0; v < store.nodes(); ++v) {
+    ASSERT_EQ(remote.store().size(v), store.size(v)) << what << " node " << v;
+    util::Rng live_rng = util::Rng(900).child(v);
+    util::Rng remote_rng = live_rng;
+    const auto live =
+        core::draw_pulls(store, live_round, pulls, live_rng, live_buf);
+    const auto remote_answers = core::draw_pulls(
+        remote.store(), remote.round(), pulls, remote_rng, remote_buf);
+    ASSERT_EQ(live.size(), remote_answers.size()) << what << " node " << v;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      EXPECT_EQ(live[i], remote_answers[i]) << what << " node " << v;
+      // Only awake nodes with a non-empty store answer.
+      const auto responder = static_cast<gossip::NodeId>(live[i].x);
+      EXPECT_FALSE(net.asleep(responder)) << what;
+      EXPECT_GT(store.size(responder), 0u) << what;
+    }
+    EXPECT_EQ(live_rng(), remote_rng()) << what << " node " << v;
+    answered += live.size();
+  }
+  const std::size_t issued = pulls * store.nodes();
+  if (store.total_elements() == 0) {
+    EXPECT_EQ(answered, 0u) << what;
+  } else if (!net.faults().any()) {
+    EXPECT_LT(answered, issued) << what << ": empty stores answer nothing";
+    EXPECT_GT(answered, issued / 2) << what;
+  } else {
+    EXPECT_GT(answered, 0u) << what;
+    EXPECT_LT(answered, issued) << what;
+  }
+}
+
+TEST(PullSampler, SnapshotPullsEqualLiveStorePulls) {
+  const std::size_t n = 64;
+  const auto store = make_pull_store(n, 5);
+  ASSERT_GT(store.total_elements(), 0u);
+  {
+    gossip::Network net(n, util::Rng(1));
+    net.begin_round();
+    expect_snapshot_pulls_match(net, store, 40, "fault-free");
+  }
+  {
+    gossip::FaultModel faults;
+    faults.sleep_probability = 0.25;
+    gossip::Network net(n, util::Rng(2), faults);
+    net.begin_round();
+    ASSERT_GT(net.asleep_count(), 0u);
+    expect_snapshot_pulls_match(net, store, 40, "sleeping targets");
+  }
+  {
+    gossip::FaultModel faults;
+    faults.response_loss = 0.3;
+    gossip::Network net(n, util::Rng(3), faults);
+    net.begin_round();
+    expect_snapshot_pulls_match(net, store, 40, "response loss");
+  }
+  {
+    // Stragglers append to the sleep set out of node order: the frame
+    // carries it sorted, and the decoded flags must still match.
+    gossip::FaultModel faults;
+    faults.sleep_probability = 0.1;
+    faults.response_loss = 0.2;
+    faults.straggler.rate = 0.2;
+    gossip::Network net(n, util::Rng(4), faults);
+    for (int r = 0; r < 3; ++r) net.begin_round();
+    expect_snapshot_pulls_match(net, store, 40, "sleep + loss + stragglers");
+  }
+}
+
+TEST(PullSampler, AllEmptyStoreAnswersNothing) {
+  const std::size_t n = 16;
+  const gossip::NodeStore<geom::Vec2> empty(n);
+  gossip::Network net(n, util::Rng(6));
+  net.begin_round();
+  expect_snapshot_pulls_match(net, empty, 12, "all-empty store");
+}
+
+TEST(PullSampler, TargetsAreUniformAndAnswersUniformPerTarget) {
+  // The distribution Section 2.1 prescribes: each pull's target is uniform
+  // over the n nodes, and an answering target returns a uniform element of
+  // its store.
+  const std::size_t n = 8;
+  gossip::NodeStore<geom::Vec2> store(n);
+  for (gossip::NodeId v = 0; v < n; ++v) {
+    for (std::size_t i = 0; i <= v; ++i) {
+      store.add_original(v, {static_cast<double>(v), static_cast<double>(i)});
+    }
+  }
+  gossip::Network net(n, util::Rng(7));
+  net.begin_round();
+  core::PullBuffer<geom::Vec2> buf;
+  util::Rng rng(8);
+  std::vector<std::vector<double>> hits(n);
+  for (gossip::NodeId v = 0; v < n; ++v) hits[v].assign(v + 1, 0.0);
+  const std::size_t draws = 80000;
+  for (std::size_t k = 0; k < draws / 100; ++k) {
+    for (const auto& a : core::draw_pulls(store, core::pull_round(net), 100,
+                                          rng, buf)) {
+      hits[static_cast<std::size_t>(a.x)][static_cast<std::size_t>(a.y)] += 1;
+    }
+  }
+  for (gossip::NodeId v = 0; v < n; ++v) {
+    const double expect_node = static_cast<double>(draws) / n;
+    double node_total = 0.0;
+    for (const double h : hits[v]) {
+      node_total += h;
+      // Binomial(draws, 1/(n(v+1))): 5-sigma band.
+      const double mean = expect_node / static_cast<double>(v + 1);
+      EXPECT_NEAR(h, mean, 5.0 * std::sqrt(mean)) << "node " << v;
+    }
+    EXPECT_NEAR(node_total, expect_node, 5.0 * std::sqrt(expect_node));
+  }
+}
 
 // ---------------------------------------------------------------------
 // Transport framing: echo through both transports, max-size frames,
@@ -463,6 +630,43 @@ TEST(ShardedLowLoad, TinySubFramesBitIdentical) {
     EXPECT_EQ(serial.solution, res.solution) << what;
     expect_stats_equal(serial.stats, res.stats, what);
   }
+}
+
+TEST(ShardedLowLoad, TaskBytesDoNotGrowWithThePullCount) {
+  // A task frame carries the round's store snapshot once plus each node's
+  // flags and RNG state — never its pull answers — so doubling the pull
+  // count (sampler_c) leaves a round's task bytes unchanged, and every
+  // round stays under shards x (24 |H(V)| + 64 n).
+  MinDisk p;
+  const std::size_t n = 1024;
+  const auto pts =
+      testsupport::golden_disk_points(DiskDataset::kTripleDisk, n);
+  obs::Counter& task_bytes = obs::counter("shard.bytes.task");
+  std::uint64_t first_round[2] = {};
+  std::uint64_t pull_ops[2] = {};
+  for (const int c : {0, 1}) {
+    core::LowLoadConfig cfg;
+    cfg.seed = 12;
+    cfg.sampler_c = c == 0 ? 2.0 : 4.0;
+    cfg.shard.shards = 2;
+    const std::uint64_t before = task_bytes.get();
+    core::LowLoadRun<MinDisk> run(p, pts, n, cfg);
+    run.step();
+    first_round[c] = task_bytes.get() - before;
+    while (!run.done()) run.step();
+    const auto res = run.finish();
+    const std::uint64_t total = task_bytes.get() - before;
+    const std::uint64_t rounds = res.stats.rounds_to_first;
+    ASSERT_GT(rounds, 1u);
+    const std::uint64_t bound =
+        2 * (24 * res.stats.max_total_elements + 64 * n);
+    EXPECT_LE(first_round[c], 2 * (24 * pts.size() + 64 * n));
+    EXPECT_LE(total, rounds * bound) << "c = " << cfg.sampler_c;
+    pull_ops[c] = res.stats.total_pull_ops / rounds;
+  }
+  EXPECT_GT(first_round[0], 0u);
+  EXPECT_EQ(first_round[0], first_round[1]);
+  EXPECT_GT(pull_ops[1], pull_ops[0] * 19 / 10) << "c = 4 pulls twice as often";
 }
 
 TEST(ShardedLowLoad, UnevenRangeShardCountIsExact) {

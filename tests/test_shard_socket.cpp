@@ -223,12 +223,16 @@ TEST(SocketBootstrap, PayloadRoundTripsThroughTheServeFactory) {
   auto direct = core::detail::make_low_load_serve<MinDisk>(
       p, oracle, sampler, /*run_termination=*/true);
 
-  // An all-inactive task range exercises the full header/trailer codec
-  // without needing live RNG state.
+  // An all-inactive task range over an empty 3-node store exercises the
+  // full header/pull-inputs/trailer codec without needing live RNG state.
+  const gossip::Network net(3, util::Rng(1));
+  const gossip::NodeStore<geom::Vec2> store(3);
+  std::vector<gossip::NodeId> sleeping;
   gossip::Encoder task;
   task.put_u8(0);   // no solution snapshot yet
   task.put_u32(0);  // begin
   task.put_u32(3);  // end
+  core::put_pull_inputs(task, net, store, sleeping);
   for (int v = 0; v < 3; ++v) task.put_u8(0);  // all inactive
 
   gossip::Encoder out_rebuilt;

@@ -189,32 +189,6 @@ TEST(CsrPullChannel, AnsweredCountsAreLazilyExact) {
   EXPECT_GT(total_responses, 0u);
 }
 
-TEST(CsrPullChannel, FusedPullsMatchChannelContract) {
-  const std::size_t n = 64;
-  auto net = make_net(n, 17);
-  PullChannel<int> ch(net);
-  net.begin_round();
-  ch.begin_pulls();
-  for (NodeId v = 0; v < n; v += 2) {
-    ch.pull_uniform(v, 5, [](NodeId target) {
-      return std::optional<int>(static_cast<int>(target));
-    });
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    if (v % 2 == 0) {
-      ASSERT_EQ(ch.responses(v).size(), 5u);
-      for (const int t : ch.responses(v)) {
-        EXPECT_GE(t, 0);
-        EXPECT_LT(t, static_cast<int>(n));
-      }
-    } else {
-      EXPECT_TRUE(ch.responses(v).empty());
-    }
-  }
-  net.meter().finish();
-  EXPECT_EQ(net.meter().total_pull_ops(), 5u * (n / 2));
-}
-
 TEST(Network, LossGapMatchesGeometricMean) {
   auto net = make_net(4, 21);
   const double p = 0.2;
