@@ -3,22 +3,30 @@
 // testing, the distinct-sample selection of Section 2.1, the sequential
 // Clarkson solver, and the gossip channels.
 //
-// Two parts:
+// Three parts:
 //   1. google-benchmark timings of the individual kernels (filter with
 //      --benchmark_filter=...).
 //   2. A "substrate showdown" that times the CSR Mailbox/PullChannel
 //      against reference implementations of the previous vector-of-vectors
-//      substrate at n = 2^16, checks that deliver cost scales with
-//      messages (not n), and writes BENCH_micro_substrates.json.
+//      substrate at n = 2^16 and checks that deliver cost scales with
+//      messages (not n).
+//   3. A "sampler showdown" that times one node's Section 2.1 draw +
+//      select on the engines' id path against the live-store reference at
+//      n = 2^12, and exits 1 unless the samples and RNG states match bit
+//      for bit.
+// Parts 2 and 3 write BENCH_micro_substrates.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "reference_sampler.hpp"
 #include "reference_store.hpp"
 #include "core/clarkson.hpp"
 #include "core/sampling.hpp"
@@ -486,6 +494,138 @@ void substrate_showdown(bench::BenchJson& json) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Sampler showdown: one node's Section 2.1 draw + select at n = 2^12, the
+// engines' id path (draw_pulls over a round-start StoreSnapshot,
+// select_distinct_answers) vs the reference (the live-store answer loop,
+// select_distinct_view's value hashing).
+// ---------------------------------------------------------------------------
+
+struct SamplerRates {
+  double engine_ns = 0.0;     // per node, the snapshot build included
+  double reference_ns = 0.0;  // per node
+};
+
+/// Times `rounds` rounds of every node's draw + select on both paths, on a
+/// store shaped like the engines' round-start stores: n originals placed
+/// uniformly at random (store sizes ~Poisson(1)) plus 0.6 n copies, about
+/// the |H(V)| of a low-load round at n = 2^12.  Exits 1 unless every
+/// node's sample and RNG state match bit for bit.
+template <typename Element, typename MakeElement>
+SamplerRates sampler_case(const char* label, std::size_t pulls,
+                          std::size_t target, MakeElement make) {
+  constexpr std::size_t kN = std::size_t{1} << 12;
+  constexpr std::size_t kRounds = 12;
+  gossip::NodeStore<Element> store(kN);
+  util::Rng place(51);
+  for (std::size_t i = 0; i < kN; ++i) {
+    store.add_original(static_cast<gossip::NodeId>(place.below(kN)), make(i));
+  }
+  for (std::size_t i = 0; i < kN * 6 / 10; ++i) {
+    store.add_copy(static_cast<gossip::NodeId>(place.below(kN)),
+                   make(place.below(kN)));
+  }
+  gossip::Network net(kN, util::Rng(53));
+  net.begin_round();
+  const core::PullRound round = core::pull_round(net);
+
+  std::vector<util::Rng> engine_rng;
+  for (std::size_t v = 0; v < kN; ++v) {
+    engine_rng.push_back(util::Rng(61).child(v));
+  }
+  std::vector<util::Rng> reference_rng = engine_rng;
+  shard::StoreSnapshot<Element> snap;
+  core::PullBuffer<Element> buf;
+  bench::ReferencePullBuffer<Element> ref_buf;
+  std::size_t mismatches = 0;
+  std::size_t sampled = 0;
+  double engine_s = 0.0;
+  double reference_s = 0.0;
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    // Alternate which path goes first, so host drift hits both alike.
+    for (const bool engine_first : {r % 2 == 0, r % 2 != 0}) {
+      if (engine_first) {
+        bench::WallTimer t;
+        snap.assign(store);
+        for (std::size_t v = 0; v < kN; ++v) {
+          const auto answers =
+              core::draw_pulls(snap, round, pulls, engine_rng[v], buf);
+          sampled += core::select_distinct_answers(snap, answers, target,
+                                                   engine_rng[v], false, buf)
+                         .sample.size();
+        }
+        engine_s += t.seconds();
+      } else {
+        bench::WallTimer t;
+        for (std::size_t v = 0; v < kN; ++v) {
+          const auto answers = bench::reference_draw_pulls(
+              store, round, pulls, reference_rng[v], ref_buf);
+          sampled += core::select_distinct_view(answers, target,
+                                                reference_rng[v], false)
+                         .sample.size();
+        }
+        reference_s += t.seconds();
+      }
+    }
+  }
+  // Untimed: one more round, node by node, compared bit for bit.
+  for (std::size_t v = 0; v < kN; ++v) {
+    const auto answers =
+        core::draw_pulls(snap, round, pulls, engine_rng[v], buf);
+    const auto got = core::select_distinct_answers(snap, answers, target,
+                                                   engine_rng[v], false, buf);
+    const auto ref_answers = bench::reference_draw_pulls(
+        store, round, pulls, reference_rng[v], ref_buf);
+    const auto want = core::select_distinct_view(ref_answers, target,
+                                                 reference_rng[v], false);
+    const bool same = got.success == want.success &&
+                      got.sample.size() == want.sample.size() &&
+                      std::memcmp(got.sample.data(), want.sample.data(),
+                                  got.sample.size() * sizeof(Element)) == 0 &&
+                      engine_rng[v].state() == reference_rng[v].state();
+    mismatches += same ? 0 : 1;
+  }
+  if (mismatches != 0) {
+    std::fprintf(stderr,
+                 "FAIL: sampler showdown %s: %zu of %zu nodes' samples or RNG "
+                 "states differ between the id path and the reference\n",
+                 label, mismatches, kN);
+    std::exit(1);
+  }
+  const double per = 1e9 / static_cast<double>(kRounds * kN);
+  SamplerRates rates{engine_s * per, reference_s * per};
+  std::printf("%-8s (%3zu pulls, target %3zu)  id path: %8.0f ns/node   "
+              "reference: %8.0f ns/node   speedup: %.2fx   (%zu sampled)\n",
+              label, pulls, target, rates.engine_ns, rates.reference_ns,
+              rates.engine_ns > 0.0 ? rates.reference_ns / rates.engine_ns
+                                    : 0.0,
+              sampled);
+  return rates;
+}
+
+void sampler_showdown(bench::BenchJson& json) {
+  std::printf("\n=== sampler showdown (n = 2^12, per node per round) ===\n");
+  // min-disk (d = 3): target 6d^2 = 54, 2(54 + 13) + 1 = 135 pulls.
+  const SamplerRates vec2 = sampler_case<geom::Vec2>(
+      "Vec2", 135, 54, [](std::size_t i) {
+        return geom::Vec2{static_cast<double>(i % 4096) * 0.25,
+                          static_cast<double>(i / 4096)};
+      });
+  // hitting set (d = 4, 128 sets): target 210, 2(210 + 13) + 1 = 447 pulls.
+  const SamplerRates ids = sampler_case<std::uint32_t>(
+      "uint32_t", 447, 210,
+      [](std::size_t i) { return static_cast<std::uint32_t>(i); });
+  for (const auto& [tag, r] :
+       {std::pair{"vec2", vec2}, std::pair{"u32", ids}}) {
+    json.set(std::string("sampler_") + tag + "_engine_ns_per_node",
+             r.engine_ns);
+    json.set(std::string("sampler_") + tag + "_reference_ns_per_node",
+             r.reference_ns);
+    json.set(std::string("sampler_") + tag + "_speedup",
+             r.engine_ns > 0.0 ? r.reference_ns / r.engine_ns : 0.0);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -496,6 +636,7 @@ int main(int argc, char** argv) {
 
   lpt::bench::BenchJson json("micro_substrates");
   substrate_showdown(json);
+  sampler_showdown(json);
   const auto path = json.write();
   if (!path.empty()) std::printf("[bench-json] wrote %s\n", path.c_str());
   return 0;

@@ -18,9 +18,10 @@
 //
 // Simulator cost per round follows the same large-n contract as
 // run_low_load: slab-backed element storage (O(1) |X(V)|, O(copy-holders)
-// filter pass), receiver-list delivery walks, and a chunk-collected
-// stage-B replay that only visits winners and W_i pushers — all
-// bit-identical to a serial full scan for any parallel_nodes value.
+// filter pass), one O(n + |X(V)|) round-start store snapshot for the
+// pulls, receiver-list delivery walks, and a chunk-collected stage-B
+// replay that only visits winners and W_i pushers — all bit-identical to
+// a serial full scan for any parallel_nodes value.
 #pragma once
 
 #include <cmath>
@@ -99,7 +100,6 @@ namespace detail {
 /// (thread_local in the in-process path, closure-owned on shard workers).
 struct HsStageAScratch {
   PullBuffer<std::uint32_t> buf;
-  SampleOutcome<std::uint32_t> outcome;
   std::vector<std::uint8_t> hit;
   std::vector<std::uint32_t> unhit;
 };
@@ -111,36 +111,36 @@ enum class HsNodeOutcome : std::uint8_t {
             // empty or over the push cap; the caller applies the cap)
 };
 
-/// One node's stage A (its `pulls` pulls against the round-start `store`,
-/// sample selection, hit marking, W_i assembly) — the single definition
-/// executed by both the in-process chunk loop (live NodeStore) and the
-/// shard workers (decoded StoreSnapshot).  Consumes `rng` exactly as a
-/// serial full scan would; adds the answers' wire bytes to
-/// `response_bytes`.
-template <PullStore<std::uint32_t> Store>
-HsNodeOutcome hitting_set_node_stage_a(
-    const problems::HittingSetProblem& problem, const Store& store,
-    const PullRound& round, gossip::NodeId v, std::size_t pulls,
-    std::size_t r, bool strict, util::Rng& rng, HsStageAScratch& scr,
-    std::uint64_t& response_bytes, std::vector<std::uint32_t>& sample,
-    std::vector<std::uint32_t>& wi) {
+/// One node's stage A (its `pulls` pulls against the round-start snapshot
+/// `store`, sample selection, hit marking, W_i assembly) — the single
+/// definition executed by both the in-process chunk loop (over the
+/// snapshot the run builds each round) and the shard workers (over the one
+/// they decode).  Consumes `rng` exactly as a serial full scan would; adds
+/// the answers' wire bytes to `response_bytes`.
+inline HsNodeOutcome hitting_set_node_stage_a(
+    const problems::HittingSetProblem& problem,
+    const shard::StoreSnapshot<std::uint32_t>& store, const PullRound& round,
+    gossip::NodeId v, std::size_t pulls, std::size_t r, bool strict,
+    util::Rng& rng, HsStageAScratch& scr, std::uint64_t& response_bytes,
+    std::vector<std::uint32_t>& sample, std::vector<std::uint32_t>& wi) {
   const auto& sys = problem.system();
   const std::size_t s = sys.set_count();
-  const std::span<std::uint32_t> responses =
+  const std::span<std::uint32_t> answers =
       draw_pulls(store, round, pulls, rng, scr.buf);
   response_bytes +=
-      pull_response_bytes(std::span<const std::uint32_t>(responses));
-  select_distinct_into(responses, r, rng, strict, scr.outcome);
-  if (!scr.outcome.success) return HsNodeOutcome::kFailed;
+      pull_response_bytes(store, std::span<const std::uint32_t>(answers));
+  const SampleView<std::uint32_t> view =
+      select_distinct_answers(store, answers, r, rng, strict, scr.buf);
+  if (!view.success) return HsNodeOutcome::kFailed;
   // S_i: sets not hit by R_i.
-  problem.mark_hit(scr.outcome.sample, scr.hit);
+  problem.mark_hit(view.sample, scr.hit);
   scr.unhit.clear();
   for (std::uint32_t j = 0; j < s; ++j) {
     if (!scr.hit[j]) scr.unhit.push_back(j);
   }
   if (scr.unhit.empty()) {
     // R_i is a hitting set: the algorithm's answer (line 13).
-    sample = std::move(scr.outcome.sample);
+    sample.assign(view.sample.begin(), view.sample.end());
     return HsNodeOutcome::kWinner;
   }
   // Random unhit set; W_i = S \ X(v_i) (lines 6-9; cap applied by caller).
@@ -260,6 +260,7 @@ inline HittingSetRunResult run_hitting_set(
 
   gossip::Mailbox<Element> copies_mail(net);
   std::vector<gossip::NodeId> sleeping_scratch;  // task-frame encode scratch
+  shard::StoreSnapshot<Element> snapshot;  // the round-start store, in-process
   const std::size_t log_n = util::ceil_log2(n) + 1;
 
   std::size_t d = cfg.hitting_set_size ? cfg.hitting_set_size : 1;
@@ -352,6 +353,7 @@ inline HittingSetRunResult run_hitting_set(
       // parallel runs bit-identical to serial ones.
       const PullRound pull_round = core::pull_round(net);
       auto stage_a = [&](std::size_t k, std::size_t begin, std::size_t end) {
+        obs::TraceSpan chunk_span("hitting_set.stage_a.chunk", k);
         thread_local detail::HsStageAScratch scr;
         ChunkAcc& ch = chunks[k];
         ch.replay.clear();
@@ -365,7 +367,7 @@ inline HittingSetRunResult run_hitting_set(
           if (net.asleep(v)) continue;
           ++ch.attempts;
           const detail::HsNodeOutcome out = detail::hitting_set_node_stage_a(
-              problem, store, pull_round, v, pulls, r, sampler.strict,
+              problem, snapshot, pull_round, v, pulls, r, sampler.strict,
               node_rng[v], scr, ch.response_bytes, sc.sample, sc.wi);
           if (out == detail::HsNodeOutcome::kFailed) {
             ++ch.failures;
@@ -425,6 +427,9 @@ inline HittingSetRunResult run_hitting_set(
               ch.response_bytes = dec.get_u64();
             });
       } else {
+        // The round-start store as one flat snapshot with dense ids (shard
+        // workers decode their own from the task frame).
+        snapshot.assign(store);
         util::parallel_chunks(pool ? &*pool : nullptr, n, chunk, stage_a);
       }
 

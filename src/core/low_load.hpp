@@ -22,8 +22,13 @@
 //
 // The only per-round loops proportional to n are the ones that do inherent
 // per-node algorithm work: the stage-A compute (each awake node's sampler
-// pulls, sample selection, local solve, violator scan) and metering those
-// pulls.  All bookkeeping is proportional to the *active* sets instead:
+// pulls, sample selection, local solve, violator scan), metering those
+// pulls, and the round-start store snapshot those pulls read.  The
+// snapshot is one O(n + |H(V)|) pass per round in every mode — built from
+// the live store in-process, encoded by the coordinator and decoded by
+// each worker when sharded — that also hashes every stored element once
+// to give it a dense id; bookkeeping_touches does not count it.  All
+// bookkeeping is proportional to the *active* sets instead:
 //
 //   * element storage is a slab-backed gossip::NodeStore — |H(V)| is O(1)
 //     (incremental), and the filter pass visits only nodes holding copies;
@@ -149,18 +154,19 @@ namespace detail {
 // NSDMI referencing a function-local constexpr inside a template.
 inline constexpr gossip::NodeId kNoNodeId = 0xffffffffu;
 
-/// Sample selection, local solve and violator scan from a node's drawn
-/// pull answers (`responses`, reordered in place) and its local multiset.
-/// Consumes `rng` exactly as a serial full scan would; returns false when
-/// the sample failed (no solve, no further draws).
+/// Sample selection, local solve and violator scan of node v from its
+/// drawn pull answers (slots of `store`, reordered in place) and its local
+/// multiset.  Consumes `rng` exactly as a serial full scan would; returns
+/// false when the sample failed (no solve, no further draws).
 template <LpTypeProblem P>
-bool low_load_solve_sample(const P& p, const SamplerConfig& sampler,
-                           std::span<typename P::Element> responses,
-                           std::span<const typename P::Element> local,
-                           util::Rng& rng, typename P::Solution& sol,
-                           std::vector<typename P::Element>& violators) {
-  const SampleView<typename P::Element> view =
-      select_distinct_view(responses, sampler.target, rng, sampler.strict);
+bool low_load_solve_sample(
+    const P& p, const SamplerConfig& sampler,
+    const shard::StoreSnapshot<typename P::Element>& store,
+    std::span<std::uint32_t> answers, gossip::NodeId v, util::Rng& rng,
+    PullBuffer<typename P::Element>& buf, typename P::Solution& sol,
+    std::vector<typename P::Element>& violators) {
+  const SampleView<typename P::Element> view = select_distinct_answers(
+      store, answers, sampler.target, rng, sampler.strict, buf);
   if (!view.success) return false;
   // A full-size sample left the selection step in uniform random order, so
   // the problem's pre-shuffled local solve applies; lenient short samples
@@ -173,31 +179,30 @@ bool low_load_solve_sample(const P& p, const SamplerConfig& sampler,
   }
   // W_i: local violators (Algorithm 2 lines 5-6), pushed in stage B.
   violators.clear();
-  for (const auto& h : local) {
+  for (const auto& h : store.view(v)) {
     if (p.violates(sol, h)) violators.push_back(h);
   }
   return true;
 }
 
 /// One node's stage A: its pulls (draw_pulls on its own stream, against
-/// the round-start `store`), then low_load_solve_sample — the single
-/// definition executed by the in-process chunk loop (over the live
-/// NodeStore) and by the shard workers (over a decoded StoreSnapshot), so
-/// the paths cannot drift.  Adds the answers' wire bytes to
-/// `response_bytes`.
-template <LpTypeProblem P, PullStore<typename P::Element> Store>
-bool low_load_node_stage_a(const P& p, const SamplerConfig& sampler,
-                           const Store& store, const PullRound& round,
-                           gossip::NodeId v, util::Rng& rng,
-                           PullBuffer<typename P::Element>& buf,
-                           std::uint64_t& response_bytes,
-                           typename P::Solution& sol,
-                           std::vector<typename P::Element>& violators) {
-  const std::span<typename P::Element> responses =
+/// the round-start snapshot `store`), then low_load_solve_sample — the
+/// single definition executed by the in-process chunk loop (over the
+/// snapshot the run builds each round) and by the shard workers (over the
+/// one they decode), so the paths cannot drift.  Adds the answers' wire
+/// bytes to `response_bytes`.
+template <LpTypeProblem P>
+bool low_load_node_stage_a(
+    const P& p, const SamplerConfig& sampler,
+    const shard::StoreSnapshot<typename P::Element>& store,
+    const PullRound& round, gossip::NodeId v, util::Rng& rng,
+    PullBuffer<typename P::Element>& buf, std::uint64_t& response_bytes,
+    typename P::Solution& sol, std::vector<typename P::Element>& violators) {
+  const std::span<std::uint32_t> answers =
       draw_pulls(store, round, sampler.pulls_per_node(), rng, buf);
   response_bytes +=
-      pull_response_bytes(std::span<const typename P::Element>(responses));
-  return low_load_solve_sample(p, sampler, responses, store.view(v), rng, sol,
+      pull_response_bytes(store, std::span<const std::uint32_t>(answers));
+  return low_load_solve_sample(p, sampler, store, answers, v, rng, buf, sol,
                                violators);
 }
 
@@ -418,7 +423,7 @@ class LowLoadRun {
   detail::ChurnCursor churn_cursor_;
   std::vector<Element> handoff_scratch_;
   std::vector<NodeRound> scratch_;
-  std::vector<std::size_t> prefix_;  // idealized-sampling cumulative sizes
+  shard::StoreSnapshot<Element> snapshot_;  // the round-start store, in-process
   std::size_t chunk_ = 0;
   std::vector<ChunkAcc> chunks_;
   bool found_ = false;
@@ -584,14 +589,10 @@ void LowLoadRun<P>::step() {
     return store_.elem(target, net_.rng().below(h0));
   });
 
-  // Idealized sampling support: per-round prefix sums over store sizes.
-  if (cfg_.sampling == SamplingMode::kIdealized) {
-    prefix_.assign(n + 1, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      prefix_[v + 1] =
-          prefix_[v] + store_.size(static_cast<gossip::NodeId>(v));
-    }
-  }
+  // The round-start store that stage A reads, as one flat snapshot with
+  // dense ids: an O(n + |H(V)|) pass.  Shard workers decode their own from
+  // the task frame instead.
+  if (!sharded_) snapshot_.assign(store_);
 
   // --- Per-node compute (stage A): the node's pulls (Algorithm 2 line 3
   // via Section 2.1), sample selection, local solve, and violator scan.
@@ -618,26 +619,24 @@ void LowLoadRun<P>::step() {
       NodeRound& sc = scratch_[v];
       bool ok;
       if (cfg_.sampling == SamplingMode::kPullBased) {
-        ok = detail::low_load_node_stage_a(p_, sampler_, store_, pull_round,
-                                           v, node_rng_[v], buf,
+        ok = detail::low_load_node_stage_a(p_, sampler_, snapshot_,
+                                           pull_round, v, node_rng_[v], buf,
                                            ch.response_bytes, sc.sol,
                                            sc.violators);
       } else {
-        const std::size_t m = prefix_[n];
-        buf.responses.clear();
-        for (std::size_t k2 = 0; k2 < pulls_ && m > 0; ++k2) {
+        // Exact uniform draws from H(V): global index g is snapshot slot g.
+        const std::size_t m = snapshot_.offsets()[n];
+        const std::size_t k = m > 0 ? pulls_ : 0;
+        if (buf.answers.size() < k) buf.answers.resize(k);
+        for (std::size_t k2 = 0; k2 < k; ++k2) {
           net_.meter().add_pull(v, 0);
-          const std::size_t g = node_rng_[v].below(m);
-          const auto it =
-              std::upper_bound(prefix_.begin(), prefix_.end(), g) - 1;
-          const auto node = static_cast<std::size_t>(it - prefix_.begin());
-          buf.responses.push_back(
-              store_.elem(static_cast<gossip::NodeId>(node), g - *it));
+          buf.answers[k2] = static_cast<std::uint32_t>(node_rng_[v].below(m));
           net_.meter().add_response_bytes(sizeof(Element));
         }
         ok = detail::low_load_solve_sample(
-            p_, sampler_, std::span<Element>(buf.responses), store_.view(v),
-            node_rng_[v], sc.sol, sc.violators);
+            p_, sampler_, snapshot_,
+            std::span<std::uint32_t>(buf.answers.data(), k), v, node_rng_[v],
+            buf, sc.sol, sc.violators);
       }
       if (!ok) {
         ++ch.failures;

@@ -10,8 +10,12 @@
 // answer indices and response-loss gaps from v's private stream, against
 // the stores as they stood at the start of the round (read-only until
 // delivery).  So the whole sampler runs in the engines' stage A, on any
-// thread or shard worker, and one definition serves the live
-// gossip::NodeStore and a shard worker's decoded shard::StoreSnapshot.
+// thread or shard worker.  It reads one store type, the flat round-start
+// shard::StoreSnapshot: in-process runs build it from the live
+// gossip::NodeStore once per round, shard workers decode it from the task
+// frame.  An answer is a snapshot slot, and selection deduplicates by the
+// snapshot's dense per-value ids (select_distinct_answers), so a round
+// hashes each stored element once instead of every pull answer.
 //
 // `strict` toggles the theory-faithful failure rule.  With strict = false
 // (the default used to reproduce the paper's experiments) a short sample is
@@ -22,10 +26,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "gossip/codec.hpp"
@@ -33,38 +37,13 @@
 #include "gossip/network.hpp"
 #include "shard/wire.hpp"
 #include "util/assert.hpp"
+#include "util/distinct_key.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
 namespace lpt::core {
 
-/// distinct_key(e) -> uint64 is the ADL customization point that unlocks
-/// the hash-based dedupe fast path in select_distinct_into (it must be
-/// consistent with operator==: equal elements, equal keys).  Elements
-/// without one fall back to sort + unique.  The built-in overloads are
-/// exact-type constrained so no element reaches them through a lossy
-/// implicit conversion.
-template <std::same_as<std::uint32_t> T>
-std::uint64_t distinct_key(T v) noexcept {
-  std::uint64_t h =
-      (static_cast<std::uint64_t>(v) + 1) * 0x9e3779b97f4a7c15ULL;
-  return h ^ (h >> 31);
-}
-
-template <std::same_as<double> T>
-std::uint64_t distinct_key(T d) noexcept {
-  // Normalize -0.0 so the key stays consistent with operator==.
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(d == 0.0 ? 0.0 : d);
-  std::uint64_t h = (bits + 1) * 0x9e3779b97f4a7c15ULL;
-  return h ^ (h >> 31);
-}
-
 namespace detail {
-
-template <typename Element>
-concept HasDistinctKey = requires(const Element& e) {
-  { distinct_key(e) } -> std::convertible_to<std::uint64_t>;
-};
 
 /// Compact `responses` to its distinct elements (arrival order preserved)
 /// via open addressing; returns the distinct count.  O(k) expected versus
@@ -94,6 +73,7 @@ std::size_t dedupe_hashed(std::span<Element> responses) {
   // core pipelines these); pass 2 probes with the precomputed keys.
   static thread_local std::vector<std::uint64_t> keys;
   keys.resize(responses.size());
+  using util::distinct_key;
   for (std::size_t i = 0; i < responses.size(); ++i) {
     keys[i] = distinct_key(responses[i]);
   }
@@ -148,65 +128,89 @@ inline PullRound pull_round(const gossip::Network& net) noexcept {
   return r;
 }
 
-/// A read-only view of every node's multiset that can answer pulls:
-/// gossip::NodeStore and shard::StoreSnapshot.
-template <typename S, typename Element>
-concept PullStore = requires(const S& s, gossip::NodeId v, std::size_t i) {
-  { s.size(v) } -> std::convertible_to<std::size_t>;
-  { s.elem(v, i) } -> std::convertible_to<const Element&>;
-  { s.view(v) } -> std::convertible_to<std::span<const Element>>;
-};
-
-/// Per-thread scratch of draw_pulls.  Both buffers keep their capacity, so
-/// the steady state allocates nothing.
+/// Per-thread scratch of draw_pulls and select_distinct_answers.  Every
+/// buffer keeps its capacity, so the steady state allocates nothing.
 template <typename Element>
 struct PullBuffer {
-  std::vector<gossip::NodeId> targets;
-  std::vector<Element> responses;
+  std::vector<gossip::NodeId> targets;  // the fault paths' targets
+  std::vector<std::uint32_t> answers;   // answer slots
+  std::vector<std::uint32_t> draw_at;   // fault-free deferred draws: the
+  std::vector<std::uint32_t> draw_size; // answer they complete, its size
+  std::vector<Element> sample;          // the gathered sample
+  std::vector<std::uint32_t> stamps;    // epoch-stamped, indexed by id
+  std::uint32_t epoch = 0;
 };
 
 /// One node's `pulls` pulls, drawn from the puller's own stream `rng`: all
 /// targets first, then per target in order the response-loss gap (only
 /// under loss, as geometric gaps) and the answer index below(size).  Asleep
 /// targets and empty stores answer nothing and draw nothing.  Returns the
-/// answers in pull order — a view into buf.responses, valid until the next
-/// call, which the caller may reorder in place (selection does).
-template <typename Element, PullStore<Element> Store>
-std::span<Element> draw_pulls(const Store& store, const PullRound& round,
-                              std::size_t pulls, util::Rng& rng,
-                              PullBuffer<Element>& buf) {
+/// answers in pull order as slots of `store` — a view into buf.answers,
+/// valid until the next call, which selection reorders in place.
+template <typename Element>
+std::span<std::uint32_t> draw_pulls(const shard::StoreSnapshot<Element>& store,
+                                    const PullRound& round, std::size_t pulls,
+                                    util::Rng& rng, PullBuffer<Element>& buf) {
   util::Rng r = rng;  // a local copy keeps the stream state in registers
-  buf.targets.resize(pulls);
-  for (gossip::NodeId& t : buf.targets) {
-    t = static_cast<gossip::NodeId>(r.below(round.nodes));
+  for (auto* v : {&buf.targets, &buf.answers, &buf.draw_at, &buf.draw_size}) {
+    if (v->size() < pulls) v->resize(pulls);
   }
-  buf.responses.clear();
-  auto answer = [&](gossip::NodeId t) {
-    const std::size_t sz = store.size(t);
-    if (sz != 0) buf.responses.push_back(store.elem(t, r.below(sz)));
-  };
+  const std::uint32_t* off = store.offsets().data();
+  std::uint32_t* out = buf.answers.data();
+  std::size_t w = 0;
   const double p = round.response_loss;
   if (round.asleep.empty() && !(p > 0.0)) {
-    for (const gossip::NodeId t : buf.targets) answer(t);
+    // Every target answers, and store sizes of 0, 1 and 2 defeat a branch
+    // predictor, so the target loop takes no branch on the size: it writes
+    // the store's first slot, advances the write index only when the size
+    // is non-zero, and queues the answer's below(size) only when the size
+    // exceeds 1 (below draws nothing otherwise).  The queued draws then run
+    // in target order after the last target draw: the stream the loop
+    // below draws when nothing sleeps or is lost.  An empty store's slot is
+    // written past the kept answers and never read.
+    std::uint32_t* at = buf.draw_at.data();
+    std::uint32_t* size_at = buf.draw_size.data();
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < pulls; ++i) {
+      const auto t = static_cast<gossip::NodeId>(r.below(round.nodes));
+      const std::uint32_t base = off[t];
+      const std::uint32_t size = off[t + 1] - base;
+      out[w] = base;
+      at[k] = static_cast<std::uint32_t>(w);
+      size_at[k] = size;
+      k += size > 1;
+      w += size != 0;
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      out[at[j]] += static_cast<std::uint32_t>(r.below(size_at[j]));
+    }
   } else {
+    const std::span<gossip::NodeId> targets(buf.targets.data(), pulls);
+    for (gossip::NodeId& t : targets) {
+      t = static_cast<gossip::NodeId>(r.below(round.nodes));
+    }
     gossip::LossStream loss;
-    for (const gossip::NodeId t : buf.targets) {
+    for (const gossip::NodeId t : targets) {
       if (!round.asleep.empty() && round.asleep[t]) continue;
       if (p > 0.0 && loss.drop(r, p)) continue;  // answer lost
-      answer(t);
+      const std::uint32_t size = off[t + 1] - off[t];
+      if (size != 0) {
+        out[w++] = off[t] + static_cast<std::uint32_t>(r.below(size));
+      }
     }
   }
   rng = r;
-  return buf.responses;
+  return {out, w};
 }
 
-/// Wire bytes of a batch of pull answers (the responders' traffic, which
-/// the engines meter on the coordinator).
+/// Wire bytes of a node's pull answers, given as slots of `store` (the
+/// responders' traffic, which the engines meter on the coordinator).
 template <typename Element>
-std::uint64_t pull_response_bytes(std::span<const Element> responses) {
+std::uint64_t pull_response_bytes(const shard::StoreSnapshot<Element>& store,
+                                  std::span<const std::uint32_t> answers) {
   using gossip::wire_size;
   std::uint64_t bytes = 0;
-  for (const Element& x : responses) bytes += wire_size(x);
+  for (const std::uint32_t slot : answers) bytes += wire_size(store.at(slot));
   return bytes;
 }
 
@@ -302,15 +306,16 @@ struct SampleView {
 };
 
 /// Like select_distinct_into but without materializing the sample: the
-/// returned view points into `responses`.  Used by the engines' hot path,
-/// where the sample is consumed by one local solve and discarded.
+/// returned view points into `responses`.  The engines select by id
+/// (select_distinct_answers), which falls back to this for element types
+/// without a distinct_key; the hashed path is the id path's reference.
 template <typename Element>
 SampleView<Element> select_distinct_view(std::span<Element> responses,
                                          std::size_t target, util::Rng& rng,
                                          bool strict) {
   SampleView<Element> out;
   std::size_t m;
-  if constexpr (detail::HasDistinctKey<Element>) {
+  if constexpr (util::HasDistinctKey<Element>) {
     m = detail::dedupe_hashed(responses);
   } else {
     std::sort(responses.begin(), responses.end());
@@ -333,6 +338,70 @@ SampleView<Element> select_distinct_view(std::span<Element> responses,
   out.sample = responses.first(m);
   out.success = m > 0;
   return out;
+}
+
+/// select_distinct_view over a node's pull answers given as slots of
+/// `store` (reordered in place), deduplicating by the snapshot's dense ids
+/// instead of hashing values: the first answer of each id is kept, in
+/// arrival order, with the per-thread epoch-stamped array in `buf` (id 0
+/// is never a duplicate); the same Fisher–Yates draws then run on the
+/// slots, and the chosen elements are gathered into buf.sample.  So the
+/// sample, its order, its exact bits (0.0 and -0.0 share an id, and the
+/// first answer's bits are kept) and the RNG draws are those of
+/// select_distinct_view on the answers' values.  Element types without a
+/// distinct_key gather every answer and take select_distinct_view's
+/// sort + unique path.  The view points into buf.sample.
+template <typename Element>
+SampleView<Element> select_distinct_answers(
+    const shard::StoreSnapshot<Element>& store,
+    std::span<std::uint32_t> answers, std::size_t target, util::Rng& rng,
+    bool strict, PullBuffer<Element>& buf) {
+  auto gather = [&](std::size_t k) {
+    if (buf.sample.size() < k) buf.sample.resize(k);
+    for (std::size_t i = 0; i < k; ++i) buf.sample[i] = store.at(answers[i]);
+    return std::span<const Element>(buf.sample.data(), k);
+  };
+  if constexpr (!util::HasDistinctKey<Element>) {
+    gather(answers.size());
+    return select_distinct_view(
+        std::span<Element>(buf.sample.data(), answers.size()), target, rng,
+        strict);
+  } else {
+    if (buf.stamps.size() < store.id_count()) {
+      buf.stamps.assign(store.id_count(), 0);
+      buf.epoch = 0;
+    }
+    if (++buf.epoch == 0) {  // epoch space exhausted: hard reset
+      std::fill(buf.stamps.begin(), buf.stamps.end(), 0u);
+      buf.epoch = 1;
+    }
+    const std::uint32_t* id_of = store.ids().data();
+    std::uint32_t* stamp = buf.stamps.data();
+    const std::uint32_t epoch = buf.epoch;
+    std::size_t m = 0;
+    for (const std::uint32_t slot : answers) {
+      const std::uint32_t id = id_of[slot];
+      const bool fresh = (stamp[id] != epoch) | (id == 0);
+      stamp[id] = epoch;
+      answers[m] = slot;
+      m += fresh;
+    }
+    SampleView<Element> out;
+    if (m >= target) {
+      for (std::size_t i = 0; i < target; ++i) {
+        const std::size_t j = i + static_cast<std::size_t>(rng.below(m - i));
+        std::swap(answers[i], answers[j]);
+      }
+      out.sample = gather(target);
+      out.success = true;
+      out.randomized = true;
+      return out;
+    }
+    if (strict) return out;
+    out.sample = gather(m);
+    out.success = m > 0;
+    return out;
+  }
 }
 
 template <typename Element>

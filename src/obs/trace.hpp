@@ -1,8 +1,10 @@
 // Ring-buffer span/event tracer exported as Chrome trace_event JSON.
 //
 // What gets traced (when enabled): engine round start/end, stage-A
-// chunks, shard frame send/recv/requeue and per-frame encode/decode,
-// recovery respawn/reassign, service epoch admit/serve/step.  Load the output at chrome://tracing /
+// chunks of the two pull-sampling engines (low_load.stage_a.chunk,
+// hitting_set.stage_a.chunk), shard frame send/recv/requeue and per-frame
+// encode/decode, recovery respawn/reassign, service epoch
+// admit/serve/step.  Load the output at chrome://tracing /
 // https://ui.perfetto.dev, or validate it with tools/trace_summary.py.
 //
 // ## Cost model — why tracing cannot break the serve-path contracts

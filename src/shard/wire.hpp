@@ -33,14 +33,19 @@
 // does not apply to shard frames.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "geometry/vec2.hpp"
 #include "gossip/codec.hpp"
+#include "gossip/metrics.hpp"
 #include "lp/halfplane.hpp"
 #include "util/assert.hpp"
+#include "util/distinct_key.hpp"
 #include "util/rng.hpp"
 
 namespace lpt::shard {
@@ -176,7 +181,7 @@ void get_seq(gossip::Decoder& d, std::vector<T>& out) {
   }
 }
 
-// --- Store snapshots: every node's multiset, read-only on a worker. ------
+// --- Store snapshots: every node's multiset, read-only in stage A. -------
 
 /// Encode a read-only snapshot of every node's multiset.  `store` is any
 /// store with nodes() and view(v) (gossip::NodeStore).  Schema: u32 n ·
@@ -196,9 +201,18 @@ void put_store_snapshot(gossip::Encoder& e, const Store& store) {
   }
 }
 
-/// A decoded put_store_snapshot: the read API of gossip::NodeStore (size,
-/// elem, view) over flat buffers that keep their capacity across decodes.
-template <Wirable T>
+/// Every node's multiset as it stood at the start of a round, in flat
+/// buffers that keep their capacity: the one store type stage A reads.
+/// In-process runs assign() it from the live gossip::NodeStore once per
+/// round; shard workers decode() a put_store_snapshot.
+///
+/// Node v's elements sit in the slots [offsets()[v], offsets()[v + 1]),
+/// in the live store's order.  For element types with a util::distinct_key,
+/// building also gives every slot a dense id, one hash per stored element:
+/// slots holding equal elements (operator==) share an id in
+/// [1, id_count()), and an element that does not equal itself (a NaN
+/// coordinate) gets id 0, which the sampler never deduplicates.
+template <typename T>
 class StoreSnapshot {
  public:
   std::size_t nodes() const noexcept {
@@ -207,16 +221,39 @@ class StoreSnapshot {
   std::size_t size(gossip::NodeId v) const noexcept {
     return offsets_[v + 1] - offsets_[v];
   }
-  const T& elem(gossip::NodeId v, std::size_t i) const noexcept {
-    return elems_[offsets_[v] + i];
-  }
   std::span<const T> view(gossip::NodeId v) const noexcept {
     return {elems_.data() + offsets_[v], size(v)};
+  }
+  /// n + 1 slot offsets: node v owns [offsets()[v], offsets()[v + 1]).
+  std::span<const std::uint32_t> offsets() const noexcept { return offsets_; }
+  const T& at(std::uint32_t slot) const noexcept { return elems_[slot]; }
+  /// Per-slot dense ids (empty for element types without distinct_key).
+  std::span<const std::uint32_t> ids() const noexcept { return ids_; }
+  /// Every id is below id_count().
+  std::size_t id_count() const noexcept { return id_count_; }
+
+  /// Replace the contents with `store`'s current multisets.
+  template <typename Store>
+  void assign(const Store& store) {
+    const std::size_t n = store.nodes();
+    offsets_.resize(n + 1);
+    elems_.clear();
+    for (std::size_t v = 0; v < n; ++v) {
+      offsets_[v] = static_cast<std::uint32_t>(elems_.size());
+      const auto xs = store.view(static_cast<gossip::NodeId>(v));
+      elems_.insert(elems_.end(), xs.begin(), xs.end());
+    }
+    LPT_CHECK_MSG(elems_.size() <= 0xffffffffu,
+                  "StoreSnapshot: more elements than 32-bit slots");
+    offsets_[n] = static_cast<std::uint32_t>(elems_.size());
+    assign_ids();
   }
 
   /// Replace the contents with one encoded snapshot.  Length fields are
   /// checked against the bytes remaining before anything is reserved.
-  void decode(gossip::Decoder& d) {
+  void decode(gossip::Decoder& d)
+    requires Wirable<T>
+  {
     const std::uint32_t n = d.get_u32();
     LPT_CHECK_MSG(n <= d.remaining() / sizeof(std::uint32_t),
                   "shard wire: store snapshot too long");
@@ -231,11 +268,51 @@ class StoreSnapshot {
     }
     elems_.resize(static_cast<std::size_t>(total));
     for (T& x : elems_) wire_get(d, x);
+    assign_ids();
   }
 
  private:
-  std::vector<std::uint32_t> offsets_;  // node v's slice: [off[v], off[v+1])
+  /// Open addressing over the slots: table_ holds a representative slot + 1
+  /// per distinct value (0: empty), at load factor <= 1/2.
+  void assign_ids() {
+    if constexpr (util::HasDistinctKey<T>) {
+      const std::size_t total = elems_.size();
+      ids_.resize(total);
+      const std::size_t cap =
+          std::bit_ceil(std::max<std::size_t>(16, 2 * total));
+      table_.assign(cap, 0);
+      const std::size_t mask = cap - 1;
+      std::uint32_t next = 1;
+      for (std::size_t s = 0; s < total; ++s) {
+        const T& x = elems_[s];
+        if (!(x == x)) {
+          ids_[s] = 0;
+          continue;
+        }
+        using util::distinct_key;
+        for (std::size_t pos = distinct_key(x) & mask;;
+             pos = (pos + 1) & mask) {
+          const std::uint32_t rep = table_[pos];
+          if (rep == 0) {
+            table_[pos] = static_cast<std::uint32_t>(s + 1);
+            ids_[s] = next++;
+            break;
+          }
+          if (elems_[rep - 1] == x) {
+            ids_[s] = ids_[rep - 1];
+            break;
+          }
+        }
+      }
+      id_count_ = next;
+    }
+  }
+
+  std::vector<std::uint32_t> offsets_;  // node v's slots: [off[v], off[v+1])
   std::vector<T> elems_;
+  std::vector<std::uint32_t> ids_;    // per slot
+  std::vector<std::uint32_t> table_;  // assign_ids' scratch
+  std::size_t id_count_ = 1;
 };
 
 // --- RNG stream state convenience wrappers. ------------------------------

@@ -15,13 +15,16 @@
 #include <string>
 #include <vector>
 
+#include "core/hitting_set.hpp"
 #include "core/low_load.hpp"
 #include "gossip/metrics.hpp"
 #include "obs/obs.hpp"
+#include "problems/hitting_set_problem.hpp"
 #include "problems/min_disk.hpp"
 #include "support/test_support.hpp"
 #include "util/rng.hpp"
 #include "workloads/disk_data.hpp"
+#include "workloads/hs_data.hpp"
 
 // Allocation counter for the zero-alloc recording contract.  Counting is
 // precise for the single-threaded windows the tests measure (no other
@@ -395,6 +398,14 @@ TEST(ObsTrace, ChromeTraceRoundTripsThroughValidator) {
   cfg.sample_period = 1;
   obs::enable_tracing(cfg);
   (void)run_engine();
+  // A hitting-set round carries its stage A as child spans too, so the
+  // per-layer self-time tables split it into stage A and the rest.
+  util::Rng rng(31);
+  const problems::HittingSetProblem hs(
+      workloads::generate_planted_hitting_set(256, 32, 3, 2, rng).system);
+  core::HittingSetConfig hs_cfg;
+  hs_cfg.hitting_set_size = 3;
+  EXPECT_TRUE(core::run_hitting_set(hs, 256, hs_cfg).valid);
   obs::disable_tracing();
   ASSERT_GT(obs::trace_event_count(), 0u);
 
@@ -418,7 +429,9 @@ TEST(ObsTrace, ChromeTraceRoundTripsThroughValidator) {
   const std::string cmd = std::string("python3 ") + LPT_TOOLS_DIR +
                           "/trace_summary.py " + path +
                           " --require low_load.round"
-                          " --require low_load.stage_a.chunk --quiet";
+                          " --require low_load.stage_a.chunk"
+                          " --require hitting_set.round"
+                          " --require hitting_set.stage_a.chunk --quiet";
   EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
 }
 

@@ -6,13 +6,16 @@
 // (in-process queues, pipes, loopback TCP sockets — the socket runs
 // bootstrap their workers over the wire), with and without loss/sleep
 // faults, and so is a low-load run stepped with other work between its
-// rounds.  Workers draw the pulls from a decoded store snapshot; the
-// PullSampler tests pin that to the live store's draws.
+// rounds.  Stage A draws the pulls from a round-start store snapshot; the
+// PullSampler tests pin its answers, samples and streams to the live-store
+// reference sampler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -26,7 +29,9 @@
 #include "core/sampling.hpp"
 #include "gossip/network.hpp"
 #include "obs/obs.hpp"
+#include "lp/halfplane.hpp"
 #include "problems/min_disk.hpp"
+#include "reference_sampler.hpp"
 #include "shard/plan.hpp"
 #include "shard/runtime.hpp"
 #include "shard/transport.hpp"
@@ -194,79 +199,175 @@ static_assert(shard::Wirable<problems::MinDiskSolution>);
 static_assert(core::detail::ShardableLowLoad<problems::MinDisk>);
 
 // ---------------------------------------------------------------------
-// The Section 2.1 pull sampler over a decoded store snapshot: a shard
-// worker draws exactly the pulls the coordinator would have drawn.
+// The Section 2.1 pull sampler: the id path (draw_pulls over a round-start
+// StoreSnapshot, select_distinct_answers by dense id) against the
+// reference (bench/reference_sampler.hpp: the live-store answer loop and
+// select_distinct_view's value hashing), over a snapshot built in-process
+// and over one decoded from a task frame.
 // ---------------------------------------------------------------------
 
-// Node v's elements carry v in x, so an answer names its responder.
-gossip::NodeStore<geom::Vec2> make_pull_store(std::size_t n,
-                                              std::uint64_t seed) {
-  gossip::NodeStore<geom::Vec2> store(n);
+template <typename Element>
+bool same_bits(const Element& a, const Element& b) {
+  return std::memcmp(&a, &b, sizeof(Element)) == 0;
+}
+
+// The element a test store puts at node v, position i.
+template <typename Element>
+Element pull_elem(std::size_t v, std::size_t i);
+template <>
+geom::Vec2 pull_elem<geom::Vec2>(std::size_t v, std::size_t i) {
+  return {static_cast<double>(v), static_cast<double>(i)};
+}
+template <>
+std::uint32_t pull_elem<std::uint32_t>(std::size_t v, std::size_t i) {
+  return static_cast<std::uint32_t>(16 * v + i);
+}
+
+// 0-2 originals and 0-3 copies per node; the copies repeat other nodes'
+// originals, so equal values sit in different slots, as copies do in the
+// engines.  Churned-out nodes' stores were handed off and cleared.
+template <typename Element>
+gossip::NodeStore<Element> make_pull_store(std::size_t n,
+                                           std::uint64_t seed) {
+  gossip::NodeStore<Element> store(n);
   util::Rng rng(seed);
   for (gossip::NodeId v = 0; v < n; ++v) {
     const std::size_t originals = rng.below(3);
     const std::size_t copies = rng.below(4);
     for (std::size_t i = 0; i < originals; ++i) {
-      store.add_original(v, {static_cast<double>(v), static_cast<double>(i)});
+      store.add_original(v, pull_elem<Element>(v, i));
     }
     for (std::size_t i = 0; i < copies; ++i) {
-      store.add_copy(v,
-                     {static_cast<double>(v), 10.0 + static_cast<double>(i)});
+      store.add_copy(v, pull_elem<Element>(rng.below(n), rng.below(2)));
     }
   }
-  // Churned-out nodes: their stores were handed off and cleared.
   for (gossip::NodeId v = 3; v < n; v += 7) store.clear_node(v);
   return store;
 }
 
-// Encode the round's pull inputs as a task frame does and decode them as a
-// worker does; then every node's pulls, drawn from the same RNG state
-// against the live store and against the snapshot, must agree answer for
-// answer and leave the stream in the same state.
-void expect_snapshot_pulls_match(const gossip::Network& net,
-                                 const gossip::NodeStore<geom::Vec2>& store,
-                                 std::size_t pulls, const std::string& what) {
+// The node whose slot range holds `slot`.
+template <typename Element>
+gossip::NodeId responder_of(const shard::StoreSnapshot<Element>& snap,
+                            std::uint32_t slot) {
+  const auto off = snap.offsets();
+  return static_cast<gossip::NodeId>(
+      std::upper_bound(off.begin(), off.end(), slot) - off.begin() - 1);
+}
+
+// Every node's pulls and sample, drawn from the same RNG state by the
+// reference (against the live store, with `round`) and by the id path
+// (against `snap`, with `snap_round`), must agree answer for answer and
+// sample element for sample element, bit for bit, meter the same bytes
+// and leave the stream in the same state.  Returns the answers drawn.
+template <typename Element>
+std::size_t expect_id_path_matches(const gossip::NodeStore<Element>& store,
+                                   const core::PullRound& round,
+                                   const shard::StoreSnapshot<Element>& snap,
+                                   const core::PullRound& snap_round,
+                                   std::size_t pulls, std::size_t target,
+                                   bool strict, const std::string& what) {
+  bench::ReferencePullBuffer<Element> ref_buf;
+  core::PullBuffer<Element> buf;
+  std::size_t answered = 0;
+  for (gossip::NodeId v = 0; v < store.nodes(); ++v) {
+    const std::string at = what + " node " + std::to_string(v);
+    EXPECT_EQ(snap.size(v), store.size(v)) << at;
+    util::Rng ref_rng = util::Rng(900).child(v);
+    util::Rng rng = ref_rng;
+    const auto ref =
+        bench::reference_draw_pulls(store, round, pulls, ref_rng, ref_buf);
+    const auto answers = core::draw_pulls(snap, snap_round, pulls, rng, buf);
+    EXPECT_EQ(ref_rng.state(), rng.state()) << at << ": after the pulls";
+    if (ref.size() != answers.size()) {
+      ADD_FAILURE() << at << ": " << ref.size() << " reference answers, "
+                    << answers.size() << " slots";
+      return answered;
+    }
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_TRUE(same_bits(ref[i], snap.at(answers[i])))
+          << at << " pull " << i;
+      // Only awake nodes with a non-empty store answer.
+      const gossip::NodeId from = responder_of(snap, answers[i]);
+      EXPECT_TRUE(round.asleep.empty() || !round.asleep[from]) << at;
+      EXPECT_GT(store.size(from), 0u) << at;
+    }
+    EXPECT_EQ(bench::reference_response_bytes(
+                  std::span<const Element>(ref.data(), ref.size())),
+              core::pull_response_bytes(
+                  snap, std::span<const std::uint32_t>(answers)))
+        << at;
+    answered += ref.size();
+
+    const core::SampleView<Element> want =
+        core::select_distinct_view(ref, target, ref_rng, strict);
+    const core::SampleView<Element> got = core::select_distinct_answers(
+        snap, answers, target, rng, strict, buf);
+    EXPECT_EQ(want.success, got.success) << at;
+    EXPECT_EQ(want.randomized, got.randomized) << at;
+    EXPECT_EQ(ref_rng.state(), rng.state()) << at << ": after selection";
+    if (want.sample.size() != got.sample.size()) {
+      ADD_FAILURE() << at << ": sample of " << got.sample.size()
+                    << ", reference " << want.sample.size();
+      continue;
+    }
+    for (std::size_t i = 0; i < want.sample.size(); ++i) {
+      EXPECT_TRUE(same_bits(want.sample[i], got.sample[i]))
+          << at << " sample " << i;
+    }
+  }
+  return answered;
+}
+
+// The id path against the reference, over a snapshot assign()ed from
+// `store` and over one decoded from a task frame's pull inputs, lenient
+// and strict.  Also checks what an answer count must look like.
+template <typename Element>
+void expect_snapshots_match_reference(const gossip::Network& net,
+                                      const gossip::NodeStore<Element>& store,
+                                      std::size_t pulls, std::size_t target,
+                                      const std::string& what) {
+  const core::PullRound round = core::pull_round(net);
+  shard::StoreSnapshot<Element> built;
+  built.assign(store);
+  ASSERT_EQ(built.nodes(), store.nodes()) << what;
+
   std::vector<gossip::NodeId> sleeping;
   gossip::Encoder e;
   core::put_pull_inputs(e, net, store, sleeping);
   gossip::Decoder d(e.bytes());
-  core::RemotePullInputs<geom::Vec2> remote;
+  core::RemotePullInputs<Element> remote;
   remote.decode(d);
   ASSERT_TRUE(d.exhausted()) << what;
   ASSERT_EQ(remote.store().nodes(), store.nodes()) << what;
+  EXPECT_EQ(remote.round().nodes, round.nodes) << what;
+  EXPECT_EQ(remote.round().asleep.empty(), round.asleep.empty()) << what;
+  EXPECT_EQ(remote.round().response_loss, round.response_loss) << what;
+  EXPECT_TRUE(std::ranges::equal(built.ids(), remote.store().ids())) << what;
+  EXPECT_EQ(built.id_count(), remote.store().id_count()) << what;
 
-  const core::PullRound live_round = core::pull_round(net);
-  EXPECT_EQ(remote.round().nodes, live_round.nodes) << what;
-  EXPECT_EQ(remote.round().asleep.empty(), live_round.asleep.empty()) << what;
-  EXPECT_EQ(remote.round().response_loss, live_round.response_loss) << what;
-
-  core::PullBuffer<geom::Vec2> live_buf;
-  core::PullBuffer<geom::Vec2> remote_buf;
   std::size_t answered = 0;
-  for (gossip::NodeId v = 0; v < store.nodes(); ++v) {
-    ASSERT_EQ(remote.store().size(v), store.size(v)) << what << " node " << v;
-    util::Rng live_rng = util::Rng(900).child(v);
-    util::Rng remote_rng = live_rng;
-    const auto live =
-        core::draw_pulls(store, live_round, pulls, live_rng, live_buf);
-    const auto remote_answers = core::draw_pulls(
-        remote.store(), remote.round(), pulls, remote_rng, remote_buf);
-    ASSERT_EQ(live.size(), remote_answers.size()) << what << " node " << v;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      EXPECT_EQ(live[i], remote_answers[i]) << what << " node " << v;
-      // Only awake nodes with a non-empty store answer.
-      const auto responder = static_cast<gossip::NodeId>(live[i].x);
-      EXPECT_FALSE(net.asleep(responder)) << what;
-      EXPECT_GT(store.size(responder), 0u) << what;
-    }
-    EXPECT_EQ(live_rng(), remote_rng()) << what << " node " << v;
-    answered += live.size();
+  for (const bool strict : {false, true}) {
+    const std::string mode = strict ? " (strict)" : "";
+    answered = expect_id_path_matches(store, round, built, round, pulls,
+                                      target, strict, what + " built" + mode);
+    EXPECT_EQ(answered,
+              expect_id_path_matches(store, round, remote.store(),
+                                     remote.round(), pulls, target, strict,
+                                     what + " decoded" + mode));
   }
   const std::size_t issued = pulls * store.nodes();
+  bool any_empty = false;
+  for (gossip::NodeId v = 0; v < store.nodes(); ++v) {
+    any_empty = any_empty || store.size(v) == 0;
+  }
   if (store.total_elements() == 0) {
     EXPECT_EQ(answered, 0u) << what;
   } else if (!net.faults().any()) {
-    EXPECT_LT(answered, issued) << what << ": empty stores answer nothing";
+    if (any_empty) {
+      EXPECT_LT(answered, issued) << what << ": empty stores answer nothing";
+    } else {
+      EXPECT_EQ(answered, issued) << what;
+    }
     EXPECT_GT(answered, issued / 2) << what;
   } else {
     EXPECT_GT(answered, 0u) << what;
@@ -274,14 +375,17 @@ void expect_snapshot_pulls_match(const gossip::Network& net,
   }
 }
 
-TEST(PullSampler, SnapshotPullsEqualLiveStorePulls) {
+// Fault-free, sleeping targets, response loss, and sleep + loss +
+// stragglers, over a store with churned-out (cleared) nodes.
+template <typename Element>
+void expect_fault_cases_match_reference() {
   const std::size_t n = 64;
-  const auto store = make_pull_store(n, 5);
+  const auto store = make_pull_store<Element>(n, 5);
   ASSERT_GT(store.total_elements(), 0u);
   {
     gossip::Network net(n, util::Rng(1));
     net.begin_round();
-    expect_snapshot_pulls_match(net, store, 40, "fault-free");
+    expect_snapshots_match_reference(net, store, 40, 20, "fault-free");
   }
   {
     gossip::FaultModel faults;
@@ -289,14 +393,14 @@ TEST(PullSampler, SnapshotPullsEqualLiveStorePulls) {
     gossip::Network net(n, util::Rng(2), faults);
     net.begin_round();
     ASSERT_GT(net.asleep_count(), 0u);
-    expect_snapshot_pulls_match(net, store, 40, "sleeping targets");
+    expect_snapshots_match_reference(net, store, 40, 20, "sleeping targets");
   }
   {
     gossip::FaultModel faults;
     faults.response_loss = 0.3;
     gossip::Network net(n, util::Rng(3), faults);
     net.begin_round();
-    expect_snapshot_pulls_match(net, store, 40, "response loss");
+    expect_snapshots_match_reference(net, store, 40, 20, "response loss");
   }
   {
     // Stragglers append to the sleep set out of node order: the frame
@@ -307,16 +411,122 @@ TEST(PullSampler, SnapshotPullsEqualLiveStorePulls) {
     faults.straggler.rate = 0.2;
     gossip::Network net(n, util::Rng(4), faults);
     for (int r = 0; r < 3; ++r) net.begin_round();
-    expect_snapshot_pulls_match(net, store, 40, "sleep + loss + stragglers");
+    expect_snapshots_match_reference(net, store, 40, 20,
+                                     "sleep + loss + stragglers");
   }
+}
+
+TEST(PullSampler, SnapshotPullsEqualLiveStorePulls) {
+  expect_fault_cases_match_reference<geom::Vec2>();
+}
+
+TEST(PullSampler, ElementIdSnapshotPullsEqualLiveStorePulls) {
+  expect_fault_cases_match_reference<std::uint32_t>();
 }
 
 TEST(PullSampler, AllEmptyStoreAnswersNothing) {
   const std::size_t n = 16;
-  const gossip::NodeStore<geom::Vec2> empty(n);
   gossip::Network net(n, util::Rng(6));
   net.begin_round();
-  expect_snapshot_pulls_match(net, empty, 12, "all-empty store");
+  expect_snapshots_match_reference(net, gossip::NodeStore<geom::Vec2>(n), 12,
+                                   4, "all-empty Vec2 store");
+  expect_snapshots_match_reference(net, gossip::NodeStore<std::uint32_t>(n),
+                                   12, 4, "all-empty id store");
+}
+
+TEST(PullSampler, SignedZerosShareOneId) {
+  // operator== holds between 0.0 and -0.0, so they are one element to the
+  // dedupe: one id, and the sample keeps the first answer's exact bits.
+  const std::size_t n = 4;
+  gossip::NodeStore<geom::Vec2> points(n);
+  points.add_original(0, {0.0, 1.0});
+  points.add_original(1, {-0.0, 1.0});
+  points.add_original(2, {0.0, -0.0});
+  points.add_original(3, {-0.0, 0.0});
+  shard::StoreSnapshot<geom::Vec2> snap;
+  snap.assign(points);
+  EXPECT_EQ(snap.ids()[0], snap.ids()[1]);
+  EXPECT_EQ(snap.ids()[2], snap.ids()[3]);
+  EXPECT_NE(snap.ids()[0], snap.ids()[2]);
+  EXPECT_EQ(snap.id_count(), 3u);
+
+  gossip::NodeStore<double> scalars(n);
+  scalars.add_original(0, 0.0);
+  scalars.add_original(1, -0.0);
+  scalars.add_original(2, 2.0);
+  shard::StoreSnapshot<double> scalar_snap;
+  scalar_snap.assign(scalars);
+  EXPECT_EQ(scalar_snap.ids()[0], scalar_snap.ids()[1]);
+  EXPECT_EQ(scalar_snap.id_count(), 3u);
+
+  gossip::Network net(n, util::Rng(8));
+  net.begin_round();
+  expect_snapshots_match_reference(net, points, 16, 1, "signed zeros");
+  const core::PullRound round = core::pull_round(net);
+  for (const bool strict : {false, true}) {
+    expect_id_path_matches(scalars, round, scalar_snap, round, 16, 2, strict,
+                           "signed zero scalars");
+  }
+}
+
+TEST(PullSampler, NanElementsAreNeverDeduplicated) {
+  // A NaN coordinate makes an element unequal even to itself, so the
+  // value dedupe keeps every answer of it; the id path gives it id 0,
+  // which the stamps never mark as seen.
+  const std::size_t n = 3;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  gossip::NodeStore<geom::Vec2> store(n);
+  store.add_original(0, {nan, 1.0});
+  store.add_original(1, {nan, 1.0});
+  store.add_original(2, {2.0, 2.0});
+  store.add_copy(2, {2.0, 2.0});
+  shard::StoreSnapshot<geom::Vec2> snap;
+  snap.assign(store);
+  EXPECT_EQ(snap.ids()[0], 0u);
+  EXPECT_EQ(snap.ids()[1], 0u);
+  EXPECT_NE(snap.ids()[2], 0u);
+  EXPECT_EQ(snap.ids()[2], snap.ids()[3]);
+
+  gossip::Network net(n, util::Rng(9));
+  net.begin_round();
+  const core::PullRound round = core::pull_round(net);
+  core::PullBuffer<geom::Vec2> buf;
+  util::Rng rng(10);
+  const auto answers = core::draw_pulls(snap, round, 24, rng, buf);
+  std::size_t nan_answers = 0;
+  for (const std::uint32_t slot : answers) nan_answers += slot < 2 ? 1 : 0;
+  ASSERT_GT(nan_answers, 1u);
+  const auto view =
+      core::select_distinct_answers(snap, answers, 1000, rng, false, buf);
+  EXPECT_EQ(view.sample.size(), nan_answers + 1);
+  expect_snapshots_match_reference(net, store, 24, 1000, "NaN coordinates");
+}
+
+TEST(PullSampler, HalfplaneSamplesKeepSortUniqueOrder) {
+  // Halfplanes have no distinct_key: the id path gathers every answer and
+  // sorts and uniques them, as the reference does.
+  const std::size_t n = 32;
+  gossip::NodeStore<lp::Halfplane> store(n);
+  util::Rng rng(11);
+  for (gossip::NodeId v = 0; v < n; ++v) {
+    const std::size_t k = rng.below(3);
+    for (std::size_t i = 0; i < k; ++i) {
+      store.add_original(v, {{static_cast<double>(rng.below(5)), 1.0},
+                             static_cast<double>(rng.below(4))});
+    }
+  }
+  shard::StoreSnapshot<lp::Halfplane> snap;
+  snap.assign(store);
+  EXPECT_TRUE(snap.ids().empty());
+  gossip::Network net(n, util::Rng(12));
+  net.begin_round();
+  const core::PullRound round = core::pull_round(net);
+  for (const bool strict : {false, true}) {
+    for (const std::size_t target : {4u, 12u, 40u}) {
+      expect_id_path_matches(store, round, snap, round, 30, target, strict,
+                             "halfplanes, target " + std::to_string(target));
+    }
+  }
 }
 
 TEST(PullSampler, TargetsAreUniformAndAnswersUniformPerTarget) {
@@ -330,6 +540,8 @@ TEST(PullSampler, TargetsAreUniformAndAnswersUniformPerTarget) {
       store.add_original(v, {static_cast<double>(v), static_cast<double>(i)});
     }
   }
+  shard::StoreSnapshot<geom::Vec2> snap;
+  snap.assign(store);
   gossip::Network net(n, util::Rng(7));
   net.begin_round();
   core::PullBuffer<geom::Vec2> buf;
@@ -338,8 +550,9 @@ TEST(PullSampler, TargetsAreUniformAndAnswersUniformPerTarget) {
   for (gossip::NodeId v = 0; v < n; ++v) hits[v].assign(v + 1, 0.0);
   const std::size_t draws = 80000;
   for (std::size_t k = 0; k < draws / 100; ++k) {
-    for (const auto& a : core::draw_pulls(store, core::pull_round(net), 100,
-                                          rng, buf)) {
+    for (const std::uint32_t slot :
+         core::draw_pulls(snap, core::pull_round(net), 100, rng, buf)) {
+      const geom::Vec2 a = snap.at(slot);
       hits[static_cast<std::size_t>(a.x)][static_cast<std::size_t>(a.y)] += 1;
     }
   }
