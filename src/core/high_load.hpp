@@ -31,6 +31,20 @@
 // DistributedRunStats::last_round_bookkeeping_touches records the final
 // round's bookkeeping node-touches.
 //
+// The round does only the work its results depend on:
+//   * basis messages are {offset, count} slices of one per-round basis
+//     pool (the C copies of a push share a slice), so proposing allocates
+//     nothing; wire_size still charges the basis elements;
+//   * a node re-solves only when its store changed since its last solve
+//     (a per-node stale flag set by every store mutation), reusing the
+//     solution's buffers through P::solve_into when P has one.  A cached
+//     solution is never kept merely because no new element violates it:
+//     near-degenerate supports make that shortcut inexact.
+// Each round records high_load.solve (stage-A solves), high_load.scan
+// (stage-A violator scans) and high_load.deliver (the stage-B pushes,
+// deliveries and store additions) trace spans: one per phase, never one
+// per node.
+//
 // ## Determinism
 //
 // One run is a pure function of (problem, h_set, n_nodes, cfg).
@@ -85,13 +99,18 @@ struct HighLoadConfig {
 
 namespace detail {
 
-/// Wire message carrying a basis (<= d elements, i.e. O(d log n) bits).
+/// Wire message carrying a basis (<= d elements, i.e. O(d log n) bits): the
+/// slice [offset, offset + count) of the round's basis pool, where the
+/// ascending-node push loop appends each proposer's basis once, so the C
+/// copies of one push share one slice.  The wire carries the elements, so
+/// wire_size charges count elements, not the two indices.
 template <typename Element>
-struct BasisMsg {
-  std::vector<Element> basis;
+struct BasisSlice {
+  std::uint32_t offset = 0;
+  std::uint32_t count = 0;
 
-  friend std::size_t wire_size(const BasisMsg& m) noexcept {
-    return m.basis.size() * sizeof(Element);
+  friend std::size_t wire_size(const BasisSlice& m) noexcept {
+    return m.count * sizeof(Element);
   }
 };
 
@@ -116,7 +135,7 @@ HighLoadResult<P> run_high_load(const P& p,
                                 std::size_t n_nodes,
                                 const HighLoadConfig& cfg = {}) {
   using Element = typename P::Element;
-  using Msg = detail::BasisMsg<Element>;
+  using Msg = detail::BasisSlice<Element>;
 
   HighLoadResult<P> res;
   const std::size_t d = p.dimension();
@@ -138,6 +157,13 @@ HighLoadResult<P> run_high_load(const P& p,
   for (const auto& h : h_set) {
     store.add_copy(static_cast<gossip::NodeId>(dist_rng.below(n)), h);
   }
+  // stale[v]: v's store changed since v's last local solve (every node
+  // starts unsolved).  Every store mutation below sets it — delivery,
+  // churn handoff, clear — and only stale nodes re-solve: the solve is a
+  // pure function of the store's contents, so an unchanged store gives
+  // the cached solution bit for bit.  (Sizes cannot stand in for the flag:
+  // a churned node can leave and refill to the same size.)
+  std::vector<std::uint8_t> stale(n, 1);
 
   // The sorted ids of nodes that have *ever* held an element.  Occupancy is
   // monotone even under churn (a leaver stays listed with an empty store and
@@ -176,6 +202,7 @@ HighLoadResult<P> run_high_load(const P& p,
   net.meter().reserve_rounds(max_rounds + 1);
 
   gossip::Mailbox<Msg> basis_mail(net);
+  std::vector<Element> basis_pool;  // this round's proposed bases
   gossip::Mailbox<Element> elem_mail(net);
   TerminationProtocol<P> term(p, net, maturity);
 
@@ -186,8 +213,8 @@ HighLoadResult<P> run_high_load(const P& p,
   // rounds so the steady state allocates nothing.  Only occupied nodes are
   // ever visited; the rest keep their zero-initialized state.
   struct NodeRound {
-    std::uint8_t has_sol = 0;
-    typename P::Solution sol;
+    std::uint8_t has_sol = 0;        // proposes this round
+    typename P::Solution sol;        // last local solve (see stale)
     std::vector<Element> violators;  // across all received bases, in order
     std::size_t max_single_w = 0;    // largest per-basis W_j this round
   };
@@ -228,6 +255,7 @@ HighLoadResult<P> run_high_load(const P& p,
       if (view.empty()) continue;
       handoff_scratch.assign(view.begin(), view.end());
       store.clear_node(v);
+      stale[v] = 1;
       newly_occupied.clear();
       for (const Element& h : handoff_scratch) {
         const gossip::NodeId target = members->draw_present(net.rng());
@@ -236,6 +264,7 @@ HighLoadResult<P> run_high_load(const P& p,
           newly_occupied.push_back(target);
         }
         store.add_copy(target, h);
+        stale[target] = 1;
       }
       if (!newly_occupied.empty()) {
         std::sort(newly_occupied.begin(), newly_occupied.end());
@@ -255,87 +284,112 @@ HighLoadResult<P> run_high_load(const P& p,
     // solves touch only node-local state (stage A, parallelizable); the
     // pushes replay serially in ascending node order (stage B, the sorted
     // occupied list), so parallel runs are bit-identical to serial ones.
-    for_each_occupied([&](gossip::NodeId v) {
-      NodeRound& sc = scratch[v];
-      sc.has_sol = 0;
-      // A departed node's store is empty (cleared on leave): no proposal.
-      if (net.asleep(v) || store.size(v) == 0) return;
-      sc.has_sol = 1;
-      sc.sol = p.solve(store.view(v));
-    });
-    for (const gossip::NodeId v : occupied) {
-      ++bookkeeping;
-      NodeRound& sc = scratch[v];
-      if (!sc.has_sol) continue;
-      if (!found && p.same_value(sc.sol, oracle)) {
-        found = true;
-        res.solution = sc.sol;
-        res.stats.rounds_to_first = t;
-        res.stats.reached_optimum = true;
-      }
-      if (cfg.run_termination) {
-        term.inject(v, static_cast<std::uint32_t>(t), sc.sol);
-      }
-      for (std::size_t k = 0; k < c_copies; ++k) {
-        basis_mail.push(v, Msg{sc.sol.basis});
-      }
-      if (store.size(v) > res.extras.max_local_elements) {
-        res.extras.max_local_elements = store.size(v);
-      }
+    {
+      obs::TraceSpan span("high_load.solve", t);
+      for_each_occupied([&](gossip::NodeId v) {
+        NodeRound& sc = scratch[v];
+        sc.has_sol = 0;
+        // A departed node's store is empty (cleared on leave): no proposal.
+        if (net.asleep(v) || store.size(v) == 0) return;
+        sc.has_sol = 1;
+        if (!stale[v]) return;
+        stale[v] = 0;
+        if constexpr (requires { p.solve_into(store.view(v), sc.sol); }) {
+          p.solve_into(store.view(v), sc.sol);  // reuses sc.sol's buffers
+        } else {
+          sc.sol = p.solve(store.view(v));
+        }
+      });
     }
-    basis_mail.deliver();
+    {
+      obs::TraceSpan span("high_load.deliver", t);
+      basis_pool.clear();
+      for (const gossip::NodeId v : occupied) {
+        ++bookkeeping;
+        NodeRound& sc = scratch[v];
+        if (!sc.has_sol) continue;
+        if (!found && p.same_value(sc.sol, oracle)) {
+          found = true;
+          res.solution = sc.sol;
+          res.stats.rounds_to_first = t;
+          res.stats.reached_optimum = true;
+        }
+        if (cfg.run_termination) {
+          term.inject(v, static_cast<std::uint32_t>(t), sc.sol);
+        }
+        const Msg slice{static_cast<std::uint32_t>(basis_pool.size()),
+                        static_cast<std::uint32_t>(sc.sol.basis.size())};
+        basis_pool.insert(basis_pool.end(), sc.sol.basis.begin(),
+                          sc.sol.basis.end());
+        for (std::size_t k = 0; k < c_copies; ++k) basis_mail.push(v, slice);
+        if (store.size(v) > res.extras.max_local_elements) {
+          res.extras.max_local_elements = store.size(v);
+        }
+      }
+      basis_mail.deliver();
+    }
 
     // Lines 5-7: violator pushes for every received basis.  Stage A scans
     // locally (only occupied nodes can produce violators — an empty store
     // has none to offer, so basis copies landing on empty nodes need no
     // scan); stage B pushes in ascending node order.
-    for_each_occupied([&](gossip::NodeId v) {
-      NodeRound& sc = scratch[v];
-      sc.violators.clear();
-      sc.max_single_w = 0;
-      if (net.asleep(v) || store.size(v) == 0) return;
-      for (const auto& msg : basis_mail.inbox(v)) {
-        const auto sol_j = p.from_basis(msg.basis);
-        std::size_t w = 0;
-        for (const auto& h : store.view(v)) {
-          if (p.violates(sol_j, h)) {
-            sc.violators.push_back(h);
-            ++w;
+    {
+      obs::TraceSpan span("high_load.scan", t);
+      const std::span<const Element> pool_view(basis_pool);
+      for_each_occupied([&](gossip::NodeId v) {
+        NodeRound& sc = scratch[v];
+        sc.violators.clear();
+        sc.max_single_w = 0;
+        if (net.asleep(v) || store.size(v) == 0) return;
+        for (const Msg& msg : basis_mail.inbox(v)) {
+          const auto sol_j =
+              p.from_basis(pool_view.subspan(msg.offset, msg.count));
+          std::size_t w = 0;
+          for (const auto& h : store.view(v)) {
+            if (p.violates(sol_j, h)) {
+              sc.violators.push_back(h);
+              ++w;
+            }
           }
+          if (w > sc.max_single_w) sc.max_single_w = w;
         }
-        if (w > sc.max_single_w) sc.max_single_w = w;
-      }
-    });
-    for (const gossip::NodeId v : occupied) {
-      ++bookkeeping;
-      const NodeRound& sc = scratch[v];
-      for (const auto& h : sc.violators) elem_mail.push(v, h);
-      if (sc.max_single_w > res.extras.max_single_w) {
-        res.extras.max_single_w = sc.max_single_w;
-      }
+      });
     }
-    elem_mail.deliver();
+    {
+      obs::TraceSpan span("high_load.deliver", t);
+      for (const gossip::NodeId v : occupied) {
+        ++bookkeeping;
+        const NodeRound& sc = scratch[v];
+        for (const auto& h : sc.violators) elem_mail.push(v, h);
+        if (sc.max_single_w > res.extras.max_single_w) {
+          res.extras.max_single_w = sc.max_single_w;
+        }
+      }
+      elem_mail.deliver();
 
-    // Line 8: add received elements — walk only the receiving inboxes,
-    // collecting nodes that just became occupied.
-    newly_occupied.clear();
-    for (const gossip::NodeId v : elem_mail.receivers()) {
-      ++bookkeeping;
-      if (absent(v)) continue;  // departed: drop (pushers retain copies)
-      if (!occ_flag[v]) {
-        occ_flag[v] = 1;
-        newly_occupied.push_back(v);
+      // Line 8: add received elements — walk only the receiving inboxes,
+      // collecting nodes that just became occupied.
+      newly_occupied.clear();
+      for (const gossip::NodeId v : elem_mail.receivers()) {
+        ++bookkeeping;
+        if (absent(v)) continue;  // departed: drop (pushers retain copies)
+        if (!occ_flag[v]) {
+          occ_flag[v] = 1;
+          newly_occupied.push_back(v);
+        }
+        for (const auto& h : elem_mail.inbox(v)) store.add_copy(v, h);
+        stale[v] = 1;
       }
-      for (const auto& h : elem_mail.inbox(v)) store.add_copy(v, h);
-    }
-    if (!newly_occupied.empty()) {
-      std::sort(newly_occupied.begin(), newly_occupied.end());
-      const std::size_t mid = occupied.size();
-      occupied.insert(occupied.end(), newly_occupied.begin(),
-                      newly_occupied.end());
-      std::inplace_merge(occupied.begin(),
-                         occupied.begin() + static_cast<std::ptrdiff_t>(mid),
-                         occupied.end());
+      if (!newly_occupied.empty()) {
+        std::sort(newly_occupied.begin(), newly_occupied.end());
+        const std::size_t mid = occupied.size();
+        occupied.insert(occupied.end(), newly_occupied.begin(),
+                        newly_occupied.end());
+        std::inplace_merge(
+            occupied.begin(),
+            occupied.begin() + static_cast<std::ptrdiff_t>(mid),
+            occupied.end());
+      }
     }
 
     if (cfg.run_termination) {

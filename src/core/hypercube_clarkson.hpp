@@ -18,6 +18,14 @@
 // draws) replayed in a fixed order.  Results — solution, iteration count,
 // hypercube round count — are bit-identical for every thread count.
 //
+// Layout: elements never move, so they and their multiplicities live in
+// one flat CSR array in placement order (node v's slice holds its
+// elements in h_set order), and every sweep walks slices of that array.
+// Each iteration records hypercube.sweep (the stage-A sweeps),
+// hypercube.collective (prefix sum, broadcast, all-reduce) and
+// hypercube.leader (weighted draws, sample routing, the leader's solve)
+// trace spans: one per phase, never one per node.
+//
 // Fault model (cfg.faults): sleeping nodes do not answer the leader's
 // sample resolution (their elements yield no reply that iteration), and
 // push_loss drops routed sample elements in transit with geometric gap
@@ -47,9 +55,8 @@ struct HypercubeClarksonConfig {
   std::uint64_t seed = 1;
   std::size_t max_iterations = 0;  // 0: auto cap (64 d (log2 n + 2))
   std::size_t parallel_nodes = 0;  // >1: the per-node compute stage (weight
-                                   // totals, violation scans, doubling) and
-                                   // the collectives' per-node steps run on
-                                   // this many threads.  Bit-identical to
+                                   // totals, violation scans, doubling) runs
+                                   // on this many threads.  Bit-identical to
                                    // the serial run: the stage touches only
                                    // node-local state, and every shared-RNG
                                    // draw happens in the serial leader
@@ -99,51 +106,61 @@ HypercubeClarksonResult<P> run_hypercube_clarkson(
 
   std::optional<util::ThreadPool> pool;
   if (cfg.parallel_nodes > 1) pool.emplace(cfg.parallel_nodes);
-  gossip::Hypercube hc(n_nodes, pool ? &*pool : nullptr);
+  gossip::Hypercube hc(n_nodes);
   gossip::HypercubeChannel<Element> sample_chan(hc);
-
-  // Elements randomly distributed over the hypercube nodes, with local
-  // Clarkson multiplicities (doubling keeps them exact powers of two).
-  struct Local {
-    std::vector<Element> elems;
-    std::vector<double> weight;
-  };
-  std::vector<Local> node(n_nodes);
-  for (const auto& h : h_set) {
-    auto& loc = node[rng.below(n_nodes)];
-    loc.elems.push_back(h);
-    loc.weight.push_back(1.0);
-  }
-
-  // Elements never move between nodes, so occupancy is fixed at placement:
-  // the per-iteration stage-A sweeps (weight totals, violation scans,
-  // doubling) visit only the occupied nodes.  Empty nodes keep their
-  // zero-initialized node_weight/tallies entries forever, so the
-  // collectives see exactly the same inputs as a full scan.
-  std::vector<std::size_t> occupied;
-  for (std::size_t v = 0; v < n_nodes; ++v) {
-    if (!node[v].elems.empty()) occupied.push_back(v);
-  }
-  auto for_each_occupied = [&](auto&& body) {
-    if (pool) {
-      util::parallel_for(*pool, occupied.size(),
-                         [&](std::size_t k) { body(occupied[k]); });
-    } else {
-      for (const std::size_t v : occupied) body(v);
-    }
-  };
+  // The basis broadcast's payload.  Nothing reads it back: the broadcast's
+  // observable effect is its round charge.
+  std::vector<std::uint8_t> token(n_nodes, 0);
+  token[0] = 1;
 
   if (n <= r) {
     // Small input: one gather + local solve + broadcast.
     res.solution = p.solve(h_set);
     hc.route_messages();
-    std::vector<std::uint8_t> token(n_nodes, 0);
-    token[0] = 1;
     hc.broadcast(token, 0);
     res.rounds = hc.rounds_used();
     res.converged = true;
     return res;
   }
+
+  // Elements randomly distributed over the hypercube nodes, with local
+  // Clarkson multiplicities (doubling keeps them exact powers of two).
+  // Elements never move between nodes, so one CSR layout in placement
+  // order holds them: node v's elements are elems[begin[v] .. begin[v+1])
+  // in h_set order, each with its weight at the same index.
+  std::vector<std::size_t> owner(n);
+  std::vector<std::size_t> begin(n_nodes + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    owner[i] = rng.below(n_nodes);
+    ++begin[owner[i] + 1];
+  }
+  for (std::size_t v = 0; v < n_nodes; ++v) begin[v + 1] += begin[v];
+  std::vector<Element> elems(n);
+  std::vector<double> weight(n, 1.0);
+  {
+    std::vector<std::size_t> cursor(begin.begin(), begin.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) elems[cursor[owner[i]]++] = h_set[i];
+  }
+
+  // Occupancy is fixed at placement, so the per-iteration stage-A sweeps
+  // (weight totals, violation scans, doubling) visit only the occupied
+  // nodes, each over its own slice.  Empty nodes keep their
+  // zero-initialized node_weight/tallies entries forever, so the
+  // collectives see exactly the same inputs as a full scan.
+  std::vector<std::size_t> occupied;
+  for (std::size_t v = 0; v < n_nodes; ++v) {
+    if (begin[v + 1] != begin[v]) occupied.push_back(v);
+  }
+  auto for_each_occupied = [&](auto&& body) {
+    if (pool) {
+      util::parallel_for(*pool, occupied.size(), [&](std::size_t k) {
+        const std::size_t v = occupied[k];
+        body(v, begin[v], begin[v + 1]);
+      });
+    } else {
+      for (const std::size_t v : occupied) body(v, begin[v], begin[v + 1]);
+    }
+  };
 
   // Geometric-gap loss sampling over the routed sample stream (one draw
   // per lost element, same scheme as the gossip substrate).  Under burst
@@ -173,7 +190,6 @@ HypercubeClarksonResult<P> run_hypercube_clarkson(
   std::vector<double> prefix;  // reused: assignment keeps the capacity
   std::vector<Tally> tallies(n_nodes);
   std::vector<Element> sample;
-  std::vector<std::uint8_t> token(n_nodes, 0);
   for (std::size_t it = 0; it < max_iterations; ++it) {
     ++res.iterations;
     obs::trace_tick();  // Clarkson iterations are the sampling unit here
@@ -207,68 +223,79 @@ HypercubeClarksonResult<P> run_hypercube_clarkson(
 
     // (1) Per-node weight totals (stage A, occupied nodes only), then
     //     exclusive prefix sums across the cube: log n rounds.
-    for_each_occupied([&](std::size_t v) {
-      double s = 0.0;
-      for (double w : node[v].weight) s += w;
-      node_weight[v] = s;
-    });
-    prefix = node_weight;
-    const double total = hc.prefix_sum(prefix);
+    {
+      obs::TraceSpan span("hypercube.sweep", it);
+      for_each_occupied([&](std::size_t v, std::size_t b, std::size_t e) {
+        double s = 0.0;
+        for (std::size_t i = b; i < e; ++i) s += weight[i];
+        node_weight[v] = s;
+      });
+    }
+    double total = 0.0;
+    {
+      obs::TraceSpan span("hypercube.collective", it);
+      prefix = node_weight;
+      total = hc.prefix_sum(prefix);
+    }
 
     // (2) Serial leader stage: draw r weighted positions; owning nodes
     //     resolve them locally and route the elements to the leader over
     //     the CSR channel: log n rounds.  Sleeping owners give no answer;
     //     push loss drops routed elements with geometric gaps.
-    for (std::size_t k = 0; k < r; ++k) {
-      const double target = rng.uniform() * total;
-      // Owning node: the largest v with prefix[v] <= target.  The prefix
-      // array is nondecreasing, so binary search replaces the former
-      // backward linear scan — O(log n) instead of O(n) per draw, landing
-      // on the same node (upper_bound returns the first entry > target,
-      // i.e. one past the last run of equal <= entries, exactly where the
-      // backward scan stopped).
-      const auto owner_it =
-          std::upper_bound(prefix.begin(), prefix.end(), target) - 1;
-      const auto v = static_cast<std::size_t>(owner_it - prefix.begin());
-      double within = target - prefix[v];
-      const auto& loc = node[v];
-      std::size_t idx = 0;
-      for (; idx + 1 < loc.weight.size(); ++idx) {
-        if (within < loc.weight[idx]) break;
-        within -= loc.weight[idx];
+    // (3) The leader solves the sample.  (An all-lost sample yields the
+    //     empty solution, which everything violates — the iteration is
+    //     simply wasted, never wrong.)
+    const auto sol = [&] {
+      obs::TraceSpan span("hypercube.leader", it);
+      for (std::size_t k = 0; k < r; ++k) {
+        const double target = rng.uniform() * total;
+        // Owning node: the largest v with prefix[v] <= target (prefix is
+        // nondecreasing; upper_bound returns the first entry > target).
+        const auto owner_it =
+            std::upper_bound(prefix.begin(), prefix.end(), target) - 1;
+        const auto v = static_cast<std::size_t>(owner_it - prefix.begin());
+        double within = target - prefix[v];
+        std::size_t idx = begin[v];
+        for (; idx + 1 < begin[v + 1]; ++idx) {
+          if (within < weight[idx]) break;
+          within -= weight[idx];
+        }
+        if (begin[v] == begin[v + 1] || asleep[v]) continue;
+        if (loss_p > 0.0 && loss.drop(fault_rng, loss_p)) continue;  // lost
+        sample_chan.send(static_cast<gossip::NodeId>(v), 0, elems[idx]);
       }
-      if (loc.elems.empty() || asleep[v]) continue;
-      if (loss_p > 0.0 && loss.drop(fault_rng, loss_p)) continue;  // lost
-      sample_chan.send(static_cast<gossip::NodeId>(v), 0, loc.elems[idx]);
-    }
-    sample_chan.route();
-    const auto routed = sample_chan.inbox(0);
-    sample.assign(routed.begin(), routed.end());
+      sample_chan.route();
+      const auto routed = sample_chan.inbox(0);
+      sample.assign(routed.begin(), routed.end());
+      return p.solve(sample);
+    }();
 
-    // (3) Leader solves the sample and broadcasts the basis: log n rounds.
-    //     (An all-lost sample yields the empty solution, which everything
-    //     violates — the iteration is simply wasted, never wrong.)
-    const auto sol = p.solve(sample);
-    std::fill(token.begin(), token.end(), std::uint8_t{0});
-    token[0] = 1;
-    hc.broadcast(token, 0);
-
+    // (3') The leader broadcasts the basis: log n rounds.
     // (4) Per-node violation tests (stage A, occupied nodes only), then
     //     one commutative all-reduce of (violated weight, any flag): log n
-    //     rounds.  The serial reduce order is the butterfly schedule
-    //     either way, so parallel runs match the serial run bit for bit.
-    for_each_occupied([&](std::size_t v) {
-      Tally t;
-      const auto& loc = node[v];
-      for (std::size_t i = 0; i < loc.elems.size(); ++i) {
-        if (p.violates(sol, loc.elems[i])) {
-          t.weight += loc.weight[i];
-          t.any = 1;
+    //     rounds.
+    {
+      obs::TraceSpan span("hypercube.collective", it);
+      hc.broadcast(token, 0);
+    }
+    {
+      obs::TraceSpan span("hypercube.sweep", it);
+      for_each_occupied([&](std::size_t v, std::size_t b, std::size_t e) {
+        Tally t;
+        for (std::size_t i = b; i < e; ++i) {
+          if (p.violates(sol, elems[i])) {
+            t.weight += weight[i];
+            t.any = 1;
+          }
         }
-      }
-      tallies[v] = t;
-    });
-    const Tally reduced = hc.all_reduce(tallies, Tally{}, tally_op);
+        tallies[v] = t;
+      });
+    }
+    Tally reduced;
+    {
+      obs::TraceSpan span("hypercube.collective", it);
+      reduced = hc.all_reduce(tallies, Tally{}, tally_op);
+    }
 
     if (reduced.any == 0) {
       res.solution = sol;
@@ -278,10 +305,10 @@ HypercubeClarksonResult<P> run_hypercube_clarkson(
     }
     // (5) Successful iteration: local doubling (stage A, no communication).
     if (reduced.weight <= total / (3.0 * static_cast<double>(d))) {
-      for_each_occupied([&](std::size_t v) {
-        auto& loc = node[v];
-        for (std::size_t i = 0; i < loc.elems.size(); ++i) {
-          if (p.violates(sol, loc.elems[i])) loc.weight[i] *= 2.0;
+      obs::TraceSpan span("hypercube.sweep", it);
+      for_each_occupied([&](std::size_t, std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) {
+          if (p.violates(sol, elems[i])) weight[i] *= 2.0;
         }
       });
     }

@@ -7,15 +7,29 @@
 // (broadcast, all-reduce, prefix-sum) costs exactly k rounds — the textbook
 // dimension-by-dimension schedule.
 //
-// Unlike the original emulator (which only charged the round cost and moved
-// data with a direct serial pass), the collectives here execute the real
-// recursive-doubling / binomial-tree schedules: per dimension step every
-// node combines with its partner along that dimension, touching only its
-// own slot.  That makes each step a per-node compute stage that fans out
-// over a util::ThreadPool — and, because every node's combine sequence is
-// fixed by the schedule (and IEEE floating-point addition is commutative,
-// so both partners of a step round identically), the results are
-// bit-identical for any thread count, including the serial run.
+// The collectives charge those k rounds but compute their results
+// directly, in O(n) work instead of replaying the O(n log n) per-step
+// partner exchanges.  Each computed form returns exactly what the exchange
+// schedule would leave behind, bit for bit:
+//
+//   * broadcast: after the binomial-tree flood every node holds the
+//     root's value — a fill.
+//   * all_reduce: after recursive doubling, node 0 holds the left-first
+//     pairwise tree fold (at step k it folds in node 2^k, which holds the
+//     same fold of the next 2^k nodes), so the fold is computed once with
+//     n - 1 combines.
+//   * prefix_sum: after step k every node of an aligned 2^(k+1)-block
+//     holds the block's total, the sum of the two half totals (the halves'
+//     nodes add them in opposite order; + is commutative), and at step k a
+//     node with bit k set adds the total of the block just below it to its
+//     prefix.  So the block totals are built level by level, and each node
+//     makes the same additions, lowest level first, starting from T{}.
+//
+// These are serial loops of O(n) work (prefix_sum: n/2 additions per
+// level, in contiguous runs), so they take no thread pool.  The per-node
+// schedules live on in tests/support/reference_engines.hpp, and
+// tests/test_hypercube_csr.cpp requires bit equality with them on
+// non-integer doubles, running the references with and without a pool.
 //
 // Point-to-point traffic goes through HypercubeChannel: dimension-ordered
 // (e-cube) routing over the same flat CSR buffers the gossip Mailbox uses —
@@ -28,7 +42,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -39,16 +52,12 @@
 #include "gossip/mailbox.hpp"  // detail::CsrIndex + NodeId
 #include "util/assert.hpp"
 #include "util/math.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lpt::gossip {
 
 class Hypercube {
  public:
-  /// `pool` (optional, not owned) threads the per-node stage of every
-  /// collective; results are bit-identical with and without it.
-  explicit Hypercube(std::size_t n, util::ThreadPool* pool = nullptr)
-      : n_(n), dim_(util::ceil_log2(n)), pool_(pool) {
+  explicit Hypercube(std::size_t n) : n_(n), dim_(util::ceil_log2(n)) {
     LPT_CHECK_MSG(util::is_pow2(n), "Hypercube size must be a power of two");
   }
 
@@ -59,51 +68,32 @@ class Hypercube {
   /// Account `r` extra communication rounds (used by the channels).
   void charge_rounds(std::size_t r) noexcept { rounds_ += r; }
 
-  /// Run body(v) for every node, on the pool when one is attached.  body
-  /// must only write node-v state (the collectives' schedule guarantees
-  /// their per-step reads never alias another node's same-step writes).
-  template <typename F>
-  void for_each_node(F&& body) {
-    if (pool_ != nullptr && n_ > 1) {
-      util::parallel_for(*pool_, n_, body);
-    } else {
-      for (std::size_t v = 0; v < n_; ++v) body(v);
-    }
-  }
-
   /// Broadcast root's value to everyone: binomial-tree flood, one dimension
-  /// per round, costs dimension() rounds.  After step k every node within
-  /// relative distance 2^(k+1) of the root holds the value.
+  /// per round, costs dimension() rounds.  The flood leaves every node
+  /// holding the root's value.
   template <typename T>
   void broadcast(std::vector<T>& values, std::size_t root) {
     LPT_CHECK(values.size() == n_ && root < n_);
-    for (std::size_t k = 0; k < dim_; ++k) {
-      const std::size_t bit = std::size_t{1} << k;
-      for_each_node([&](std::size_t v) {
-        // Node v receives at the step matching the highest set bit of its
-        // relative address; its partner already holds the value and is not
-        // written this step, so the parallel stage is race-free.
-        if (((v ^ root) >> k) == 1) values[v] = values[v ^ bit];
-      });
-    }
+    const T value = values[root];
+    std::fill(values.begin(), values.end(), value);
     rounds_ += dim_;
   }
 
   /// All-reduce with a binary op: recursive doubling, costs dimension()
   /// rounds.  Op must be commutative (each step's partners apply it with
-  /// opposite operand order); associativity is NOT required — every node
-  /// follows the same fixed combine tree, so the returned value is
-  /// deterministic, and op(init, <butterfly fold of values>) is returned.
+  /// opposite operand order, so every node ends with node 0's value);
+  /// associativity is NOT required — the combine tree is fixed, so the
+  /// returned value is deterministic: op(init, <left-first pairwise tree
+  /// fold of values>).
   template <typename T, typename Op>
   T all_reduce(const std::vector<T>& values, T init, Op op) {
     LPT_CHECK(values.size() == n_);
-    const auto acc = scratch<T>(0);
-    const auto partner = scratch<T>(1);
+    const auto acc = scratch<T>(n_);
     std::copy(values.begin(), values.end(), acc.begin());
-    for (std::size_t k = 0; k < dim_; ++k) {
-      const std::size_t bit = std::size_t{1} << k;
-      for_each_node([&](std::size_t v) { partner[v] = acc[v ^ bit]; });
-      for_each_node([&](std::size_t v) { acc[v] = op(acc[v], partner[v]); });
+    for (std::size_t bit = 1; bit < n_; bit <<= 1) {
+      for (std::size_t b = 0; b < n_; b += 2 * bit) {
+        acc[b] = op(acc[b], acc[b + bit]);
+      }
     }
     rounds_ += dim_;
     return op(std::move(init), acc[0]);
@@ -111,25 +101,26 @@ class Hypercube {
 
   /// Exclusive prefix sum; returns the total.  Hypercube scan: every node
   /// carries (prefix, subcube total) and folds its partner's subcube total
-  /// into both per step.  Costs dimension() rounds.
+  /// into both per step.  Costs dimension() rounds.  T's + must be
+  /// commutative, as it is for the arithmetic types.
   template <typename T>
   T prefix_sum(std::vector<T>& values) {
     LPT_CHECK(values.size() == n_);
-    const auto sum = scratch<T>(0);
-    const auto partner = scratch<T>(1);
-    const auto pre = scratch<T>(2);
+    // Entering level k, sum[b] holds the total of the aligned 2^k-block
+    // starting at b.  Every node of the upper block of each pair adds the
+    // lower block's total to its prefix, then the pair's total, (low) +
+    // (high), replaces the lower one.
+    const auto sum = scratch<T>(n_);
     std::copy(values.begin(), values.end(), sum.begin());
-    std::fill(pre.begin(), pre.end(), T{});
-    for (std::size_t k = 0; k < dim_; ++k) {
-      const std::size_t bit = std::size_t{1} << k;
-      for_each_node([&](std::size_t v) { partner[v] = sum[v ^ bit]; });
-      for_each_node([&](std::size_t v) {
-        if (v & bit) pre[v] = pre[v] + partner[v];
-        sum[v] = sum[v] + partner[v];
-      });
+    std::fill(values.begin(), values.end(), T{});
+    for (std::size_t bit = 1; bit < n_; bit <<= 1) {
+      for (std::size_t b = bit; b < n_; b += 2 * bit) {
+        const T low = sum[b - bit];
+        for (std::size_t v = b; v < b + bit; ++v) values[v] = values[v] + low;
+        sum[b - bit] = low + sum[b];
+      }
     }
     rounds_ += dim_;
-    std::copy(pre.begin(), pre.end(), values.begin());
     return sum[0];
   }
 
@@ -139,25 +130,23 @@ class Hypercube {
   void route_messages() { rounds_ += dim_; }
 
  private:
-  /// Per-slot collective scratch, reused across calls so the steady state
-  /// allocates nothing.  Collectives carry fixed-width wire words, hence
-  /// the trivially-copyable constraint; the byte arena is reinterpreted
-  /// per element type (implicit-lifetime types, default-new alignment).
+  /// Collective scratch, reused across calls so the steady state allocates
+  /// nothing.  Collectives carry fixed-width wire words, hence the
+  /// trivially-copyable constraint; the byte arena is reinterpreted per
+  /// element type (implicit-lifetime types, default-new alignment).
   template <typename T>
-  std::span<T> scratch(std::size_t slot) {
+  std::span<T> scratch(std::size_t count) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "hypercube collectives carry fixed-width wire words");
     static_assert(alignof(T) <= alignof(std::max_align_t));
-    auto& buf = scratch_[slot];
-    if (buf.size() < n_ * sizeof(T)) buf.resize(n_ * sizeof(T));
-    return {reinterpret_cast<T*>(buf.data()), n_};
+    if (scratch_.size() < count * sizeof(T)) scratch_.resize(count * sizeof(T));
+    return {reinterpret_cast<T*>(scratch_.data()), count};
   }
 
   std::size_t n_;
   std::size_t dim_;
-  util::ThreadPool* pool_ = nullptr;
   std::size_t rounds_ = 0;
-  std::array<std::vector<std::byte>, 3> scratch_;
+  std::vector<std::byte> scratch_;
 };
 
 /// Point-to-point message routing over the hypercube: dimension-ordered

@@ -2,8 +2,10 @@
 //
 // What gets traced (when enabled): engine round start/end, stage-A
 // chunks of the two pull-sampling engines (low_load.stage_a.chunk,
-// hitting_set.stage_a.chunk), shard frame send/recv/requeue and per-frame
-// encode/decode, recovery respawn/reassign, service epoch
+// hitting_set.stage_a.chunk), the phases of a high-load round
+// (high_load.{solve,scan,deliver}) and of a hypercube Clarkson iteration
+// (hypercube.{sweep,collective,leader}), shard frame send/recv/requeue and
+// per-frame encode/decode, recovery respawn/reassign, service epoch
 // admit/serve/step.  Load the output at chrome://tracing /
 // https://ui.perfetto.dev, or validate it with tools/trace_summary.py.
 //

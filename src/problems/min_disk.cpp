@@ -1,6 +1,8 @@
 #include "problems/min_disk.hpp"
 
 #include <algorithm>
+#include <array>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -63,15 +65,16 @@ geom::Circle disk_of_small(std::span<const geom::Vec2> pts) {
 
 MinDisk::Solution MinDisk::solve(std::span<const Element> s) const {
   Solution sol;
-  if (s.empty()) return sol;
-  util::Rng rng(fingerprint(s));
-  auto md = geom::min_disk(s, rng);
-  sol.basis = std::move(md.support);
-  std::sort(sol.basis.begin(), sol.basis.end());
-  sol.basis.erase(std::unique(sol.basis.begin(), sol.basis.end()),
-                  sol.basis.end());
-  sol.disk = disk_of_small(sol.basis);
+  solve_into(s, sol);
   return sol;
+}
+
+void MinDisk::solve_into(std::span<const Element> s, Solution& out) const {
+  // One shuffle buffer per thread: the engines' stage-A pools call this
+  // concurrently, and the buffer's capacity is reused across calls.
+  thread_local std::vector<Element> buf;
+  if (buf.size() < s.size()) buf.resize(s.size());
+  solve_into(s, buf, out);
 }
 
 MinDisk::Solution MinDisk::solve_shuffled(std::span<const Element> s) const {
@@ -93,10 +96,9 @@ void MinDisk::solve_into(std::span<const Element> s, std::span<Element> buf,
   out.disk = geom::Circle{};
   out.basis.clear();
   if (s.empty()) return;
-  // Exactly solve()'s computation — same fingerprint seed, same shuffle
-  // draw sequence (span and vector shuffles are identical), same Welzl
-  // core, same canonicalization — so the results are bit-identical; only
-  // the copy lands in the caller's buffer instead of a fresh vector.
+  // Welzl over a copy shuffled with a seed fingerprinted from the input
+  // (so the result depends on the input alone), then the canonical disk
+  // of the sorted support.
   util::Rng rng(fingerprint(s));
   std::span<Element> pts = buf.first(s.size());
   std::copy(s.begin(), s.end(), pts.begin());
@@ -109,37 +111,42 @@ void MinDisk::solve_into(std::span<const Element> s, std::span<Element> buf,
 }
 
 MinDisk::Solution MinDisk::from_basis(std::span<const Element> b) const {
-  if (b.size() <= 3) {
-    Solution sol;
-    sol.basis.assign(b.begin(), b.end());
-    std::sort(sol.basis.begin(), sol.basis.end());
-    sol.basis.erase(std::unique(sol.basis.begin(), sol.basis.end()),
-                    sol.basis.end());
-    // A received "basis" may contain non-support points (e.g. B u {h} from
-    // the MSW exchange step); reduce to the true support via solve if the
-    // direct disk does not match.
-    sol.disk = disk_of_small(sol.basis);
-    if (geom::encloses_all(sol.disk, sol.basis)) {
-      // Drop interior points from the basis (diametral-pair case).
-      if (sol.basis.size() == 3) {
-        for (std::size_t i = 0; i < 3; ++i) {
-          std::vector<geom::Vec2> two;
-          for (std::size_t j = 0; j < 3; ++j) {
-            if (j != i) two.push_back(sol.basis[j]);
-          }
-          const auto c = disk_of_small(two);
-          if (c.radius >= sol.disk.radius - 1e-12 * (sol.disk.radius + 1.0) &&
-              c.contains(sol.basis[i])) {
-            sol.basis = std::move(two);
-            sol.disk = c;
-            break;
-          }
-        }
+  if (b.size() > 3) return solve(b);
+  // The sorted, deduplicated candidate support, in place.
+  std::array<Element, 3> sup{};
+  std::copy(b.begin(), b.end(), sup.begin());
+  const auto first = sup.begin();
+  std::sort(first, first + static_cast<std::ptrdiff_t>(b.size()));
+  auto k = static_cast<std::size_t>(
+      std::unique(first, first + static_cast<std::ptrdiff_t>(b.size())) -
+      first);
+  geom::Circle disk = disk_of_small({sup.data(), k});
+  // A received "basis" may contain non-support points (e.g. B u {h} from
+  // the MSW exchange step); reduce to the true support via solve if the
+  // direct disk does not match.
+  if (!geom::encloses_all(disk, {sup.data(), k})) return solve(b);
+  if (k == 3) {
+    // Drop an interior point (diametral-pair case): the first pair, in
+    // order of the dropped index, whose diametral disk is no smaller and
+    // contains the third point.
+    for (std::size_t i = 0; i < 3; ++i) {
+      const std::array<Element, 2> two{sup[i == 0 ? 1 : 0],
+                                       sup[i == 2 ? 1 : 2]};
+      const geom::Circle c = disk_of_small(two);
+      if (c.radius >= disk.radius - 1e-12 * (disk.radius + 1.0) &&
+          c.contains(sup[i])) {
+        sup[0] = two[0];
+        sup[1] = two[1];
+        k = 2;
+        disk = c;
+        break;
       }
-      return sol;
     }
   }
-  return solve(b);
+  Solution sol;
+  sol.disk = disk;
+  sol.basis.assign(sup.begin(), sup.begin() + static_cast<std::ptrdiff_t>(k));
+  return sol;
 }
 
 }  // namespace lpt::problems

@@ -62,12 +62,17 @@ class MinDisk {
   /// the wire; also correct for any small point set.
   Solution from_basis(std::span<const Element> b) const;
 
-  /// Bit-identical to solve(), but the caller provides the shuffle buffer
-  /// (`buf.size() >= s.size()`, e.g. a slab-arena slot) and a reused
-  /// output: once `out.basis` has warmed its <= 3-point capacity the call
-  /// allocates nothing — the query service's serve-path contract.
+  /// solve() into a reused output: the shuffle copy lands in the caller's
+  /// buffer (`buf.size() >= s.size()`, e.g. a slab-arena slot), and once
+  /// `out.basis` has warmed its <= 3-point capacity the call allocates
+  /// nothing — the query service's serve-path contract.  solve() is this
+  /// call over a per-thread buffer, so the two are bit-identical.
   void solve_into(std::span<const Element> s, std::span<Element> buf,
                   Solution& out) const;
+
+  /// solve_into over the per-thread buffer solve() uses (the engines'
+  /// stage-A solves, reusing each node's Solution).
+  void solve_into(std::span<const Element> s, Solution& out) const;
 
   bool violates(const Solution& sol, const Element& e) const noexcept {
     // Empty disk: f(∅) < f({e}) always.  Otherwise: e outside the disk.

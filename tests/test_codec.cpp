@@ -86,12 +86,14 @@ TEST(Codec, WireSizeContractElementId) {
 }
 
 TEST(Codec, WireSizeContractBasisMessage) {
-  // High-load basis message: d points, no padding beyond the elements.
-  core::detail::BasisMsg<geom::Vec2> msg;
-  msg.basis = {{1, 2}, {3, 4}, {5, 6}};
+  // High-load basis message: a slice of the round's basis pool carrying d
+  // points; the meter charges the points, no padding and no slice indices.
+  const std::vector<geom::Vec2> pool{{9, 9}, {1, 2}, {3, 4}, {5, 6}};
+  const core::detail::BasisSlice<geom::Vec2> msg{1, 3};
   EXPECT_EQ(wire_size(msg), 3 * kWireBytesVec2);
   Encoder enc;
-  enc.put_sequence(std::span<const geom::Vec2>(msg.basis));
+  enc.put_sequence(
+      std::span<const geom::Vec2>(pool).subspan(msg.offset, msg.count));
   // Codec adds a 4-byte length prefix; the meter charges elements only —
   // the prefix is O(1) bits and does not change the O(log n) accounting.
   EXPECT_EQ(enc.size(), 4 + 3 * kWireBytesVec2);
@@ -113,8 +115,7 @@ TEST(Codec, MessageBitsAreLogarithmic) {
   // of fixed precision.  This test pins those constants so accidental
   // message-format growth is caught.
   EXPECT_LE(8 * wire_size(geom::Vec2{}), 128u);
-  core::detail::BasisMsg<geom::Vec2> basis;
-  basis.basis.resize(3);
+  const core::detail::BasisSlice<geom::Vec2> basis{0, 3};
   EXPECT_LE(8 * wire_size(basis), 384u);
 }
 

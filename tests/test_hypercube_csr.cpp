@@ -3,15 +3,20 @@
 // (LegacyHypercubeChannel) share one dimension-ordered hop schedule, so
 // their inboxes — contents AND per-inbox order — must match element for
 // element, as must the per-dimension traffic counters.  Also covers epoch
-// reuse across rounds (stale slices never leak) and the collectives' real
-// data movement with and without a thread pool.
+// reuse across rounds (stale slices never leak), and holds the computed
+// collectives to the per-node broadcast / recursive-doubling / scan
+// schedules (tests/support/reference_engines.hpp) bit for bit, with the
+// schedules run serially and on a thread pool.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "gossip/hypercube.hpp"
+#include "support/reference_engines.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -228,30 +233,104 @@ TEST(HypercubeCollectives, RealDataMovementMatchesSpec) {
   EXPECT_EQ(hc.rounds_used(), 3 * 4u);
 }
 
-TEST(HypercubeCollectives, PoolRunsAreBitIdenticalToSerial) {
-  util::Rng rng(77);
-  std::vector<double> vals(64);
-  for (auto& v : vals) v = rng.uniform(-10.0, 10.0);
+// Non-integer doubles of mixed sign and magnitude, with exact zeros of both
+// signs, so every rounding step and the +0/-0 sum rule is exercised.
+std::vector<double> mixed_values(std::size_t n, util::Rng& rng) {
+  std::vector<double> vals(n);
+  for (double& v : vals) {
+    switch (rng.below(6)) {
+      case 0: v = 0.0; break;
+      case 1: v = -0.0; break;
+      case 2: v = rng.uniform(-1.0, 1.0) * 1e-9; break;
+      case 3: v = rng.uniform(-1.0, 1.0) * 1e12; break;
+      default: v = rng.uniform(-3.0, 3.0); break;
+    }
+  }
+  return vals;
+}
 
-  Hypercube serial(64);
-  util::ThreadPool pool(4);
-  Hypercube pooled(64, &pool);
+// Bitwise equality (distinguishes +0 from -0, unlike ==).
+::testing::AssertionResult same_bits(const std::vector<double>& a,
+                                     const std::vector<double>& b) {
+  if (a.size() != b.size()) return ::testing::AssertionFailure() << "size";
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return ::testing::AssertionFailure()
+             << "slot " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
-  std::vector<double> bc_a(vals), bc_b(vals);
-  serial.broadcast(bc_a, 19);
-  pooled.broadcast(bc_b, 19);
-  EXPECT_EQ(bc_a, bc_b);
+struct Pair {
+  double weight = 0.0;
+  std::uint32_t any = 0;
+};
 
-  const auto plus = [](double a, double b) { return a + b; };
-  EXPECT_EQ(serial.all_reduce(vals, 0.0, plus),
-            pooled.all_reduce(vals, 0.0, plus));
+TEST(HypercubeCollectives, ComputedFormsMatchPerNodeSchedules) {
+  util::ThreadPool pool(3);
+  util::ThreadPool* const pools[] = {nullptr, &pool};
+  for (util::ThreadPool* tp : pools) {
+    for (std::size_t dim = 0; dim <= 12; ++dim) {
+      const std::size_t n = std::size_t{1} << dim;
+      SCOPED_TRACE("n=" + std::to_string(n) + (tp ? " pooled" : " serial"));
+      util::Rng rng(1000 + dim);
+      Hypercube fast(n);
+      Hypercube ref(n);
+      for (int rep = 0; rep < 3; ++rep) {
+        const auto vals = mixed_values(n, rng);
 
-  std::vector<double> ps_a(vals), ps_b(vals);
-  const double ta = serial.prefix_sum(ps_a);
-  const double tb = pooled.prefix_sum(ps_b);
-  EXPECT_EQ(ta, tb);
-  EXPECT_EQ(ps_a, ps_b);
-  EXPECT_EQ(serial.rounds_used(), pooled.rounds_used());
+        std::vector<double> pre_fast(vals), pre_ref(vals);
+        const double tot_fast = fast.prefix_sum(pre_fast);
+        const double tot_ref = testsupport::legacy_prefix_sum(ref, tp, pre_ref);
+        EXPECT_TRUE(same_bits({tot_fast}, {tot_ref}));
+        EXPECT_TRUE(same_bits(pre_fast, pre_ref));
+
+        const auto plus = [](double a, double b) { return a + b; };
+        EXPECT_TRUE(same_bits(
+            {fast.all_reduce(vals, -0.0, plus)},
+            {testsupport::legacy_all_reduce(ref, tp, vals, -0.0, plus)}));
+        // A two-field combine, as the Clarkson violation reduce uses.
+        std::vector<Pair> pairs(n);
+        for (std::size_t v = 0; v < n; ++v) {
+          pairs[v] = {vals[v], static_cast<std::uint32_t>(rng.below(2))};
+        }
+        const auto pair_op = [](const Pair& a, const Pair& b) {
+          return Pair{a.weight + b.weight, a.any | b.any};
+        };
+        const Pair pf = fast.all_reduce(pairs, Pair{}, pair_op);
+        const Pair pr =
+            testsupport::legacy_all_reduce(ref, tp, pairs, Pair{}, pair_op);
+        EXPECT_TRUE(same_bits({pf.weight}, {pr.weight}));
+        EXPECT_EQ(pf.any, pr.any);
+
+        const std::size_t root = rng.below(n);
+        std::vector<double> bc_fast(vals), bc_ref(vals);
+        fast.broadcast(bc_fast, root);
+        testsupport::legacy_broadcast(ref, tp, bc_ref, root);
+        EXPECT_TRUE(same_bits(bc_fast, bc_ref));
+      }
+      EXPECT_EQ(fast.rounds_used(), ref.rounds_used());
+    }
+  }
+}
+
+TEST(HypercubeCollectives, BroadcastMatchesPerNodeScheduleFromEveryRoot) {
+  for (std::size_t dim = 0; dim <= 5; ++dim) {
+    const std::size_t n = std::size_t{1} << dim;
+    util::Rng rng(2000 + dim);
+    const auto vals = mixed_values(n, rng);
+    for (std::size_t root = 0; root < n; ++root) {
+      Hypercube fast(n);
+      Hypercube ref(n);
+      std::vector<double> bc_fast(vals), bc_ref(vals);
+      fast.broadcast(bc_fast, root);
+      testsupport::legacy_broadcast(ref, nullptr, bc_ref, root);
+      EXPECT_TRUE(same_bits(bc_fast, bc_ref)) << "n=" << n << " root=" << root;
+      EXPECT_EQ(fast.rounds_used(), ref.rounds_used());
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Thread-count invariance for the hypercube Clarkson baseline: the
-// per-node compute stage (weight totals, violation scans, doubling) and
-// the collectives' per-node steps fan out over a thread pool, and the
-// results — solution, iteration count, hypercube round count — must be
+// per-node compute stage (weight totals, violation scans, doubling) fans
+// out over a thread pool, and the results — solution, iteration count, hypercube round count — must be
 // bit-identical to the serial run for every thread count, including under
 // loss/sleep faults and when the iteration cap terminates the run early.
 #include <gtest/gtest.h>

@@ -15,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "core/high_load.hpp"
 #include "core/hitting_set.hpp"
+#include "core/hypercube_clarkson.hpp"
 #include "core/low_load.hpp"
 #include "gossip/metrics.hpp"
 #include "obs/obs.hpp"
@@ -45,10 +47,27 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms too: the standard library's temporary buffers (e.g.
+// std::inplace_merge in the high-load engine) allocate with nothrow new and
+// release with plain delete, so every form must share malloc/free.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace lpt {
 namespace {
@@ -406,6 +425,12 @@ TEST(ObsTrace, ChromeTraceRoundTripsThroughValidator) {
   core::HittingSetConfig hs_cfg;
   hs_cfg.hitting_set_size = 3;
   EXPECT_TRUE(core::run_hitting_set(hs, 256, hs_cfg).valid);
+  // High-load rounds and hypercube iterations carry phase spans.
+  const problems::MinDisk md;
+  const auto pts = testsupport::golden_disk_points(
+      workloads::DiskDataset::kTriangle, 512);
+  EXPECT_TRUE(core::run_high_load(md, pts, 512).stats.reached_optimum);
+  EXPECT_TRUE(core::run_hypercube_clarkson(md, pts, 512).converged);
   obs::disable_tracing();
   ASSERT_GT(obs::trace_event_count(), 0u);
 
@@ -422,7 +447,7 @@ TEST(ObsTrace, ChromeTraceRoundTripsThroughValidator) {
   EXPECT_NE(head.find("\"traceEvents\""), std::string::npos);
 
   // Full validation through the same tool CI runs: schema, timestamp
-  // monotonicity, span nesting, and the round/stage-A names.
+  // monotonicity, span nesting, and the round and phase names.
   if (std::system("python3 --version > /dev/null 2>&1") != 0) {
     GTEST_SKIP() << "python3 unavailable; validator not run";
   }
@@ -431,7 +456,15 @@ TEST(ObsTrace, ChromeTraceRoundTripsThroughValidator) {
                           " --require low_load.round"
                           " --require low_load.stage_a.chunk"
                           " --require hitting_set.round"
-                          " --require hitting_set.stage_a.chunk --quiet";
+                          " --require hitting_set.stage_a.chunk"
+                          " --require high_load.round"
+                          " --require high_load.solve"
+                          " --require high_load.scan"
+                          " --require high_load.deliver"
+                          " --require hypercube.iteration"
+                          " --require hypercube.sweep"
+                          " --require hypercube.collective"
+                          " --require hypercube.leader --quiet";
   EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
 }
 

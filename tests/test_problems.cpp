@@ -3,9 +3,14 @@
 // canonical, and the hitting-set / set-cover substrate behaves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "core/lp_type.hpp"
+#include "geometry/circle.hpp"
+#include "geometry/welzl.hpp"
 #include "problems/hitting_set_problem.hpp"
 #include "problems/linear_program2d.hpp"
 #include "problems/min_ball.hpp"
@@ -126,6 +131,120 @@ TEST(MinDisk, FromBasisDropsInteriorPoint) {
   const auto sol = p.from_basis(b);
   EXPECT_EQ(sol.basis.size(), 2u);
   EXPECT_NEAR(sol.disk.radius, 1.0, 1e-9);
+}
+
+// MinDisk::from_basis as it was before its candidate supports moved into
+// fixed arrays: the bit-exactness reference for the current one.
+geom::Circle reference_disk_of_small(std::span<const geom::Vec2> pts) {
+  switch (pts.size()) {
+    case 0:
+      return geom::Circle{};
+    case 1:
+      return geom::circle_from(pts[0]);
+    case 2:
+      return geom::circle_from(pts[0], pts[1]);
+    default: {
+      geom::Circle best{};
+      bool found = false;
+      for (int drop = 2; drop >= 0; --drop) {
+        const geom::Vec2 a = pts[(drop + 1) % 3];
+        const geom::Vec2 b = pts[(drop + 2) % 3];
+        const geom::Circle c = geom::circle_from(a, b);
+        if (c.contains(pts[static_cast<std::size_t>(drop)]) &&
+            (!found || c.radius < best.radius)) {
+          best = c;
+          found = true;
+        }
+      }
+      if (found) return best;
+      return geom::circle_from(pts[0], pts[1], pts[2]);
+    }
+  }
+}
+
+problems::MinDiskSolution reference_from_basis(
+    std::span<const geom::Vec2> b) {
+  if (b.size() <= 3) {
+    problems::MinDiskSolution sol;
+    sol.basis.assign(b.begin(), b.end());
+    std::sort(sol.basis.begin(), sol.basis.end());
+    sol.basis.erase(std::unique(sol.basis.begin(), sol.basis.end()),
+                    sol.basis.end());
+    sol.disk = reference_disk_of_small(sol.basis);
+    if (geom::encloses_all(sol.disk, sol.basis)) {
+      if (sol.basis.size() == 3) {
+        for (std::size_t i = 0; i < 3; ++i) {
+          std::vector<geom::Vec2> two;
+          for (std::size_t j = 0; j < 3; ++j) {
+            if (j != i) two.push_back(sol.basis[j]);
+          }
+          const auto c = reference_disk_of_small(two);
+          if (c.radius >= sol.disk.radius - 1e-12 * (sol.disk.radius + 1.0) &&
+              c.contains(sol.basis[i])) {
+            sol.basis = std::move(two);
+            sol.disk = c;
+            break;
+          }
+        }
+      }
+      return sol;
+    }
+  }
+  return problems::MinDisk{}.solve(b);
+}
+
+TEST(MinDisk, FromBasisMatchesReferenceOnSmallInputs) {
+  const problems::MinDisk p;
+  util::Rng rng(4242);
+  auto point = [&] {
+    return geom::Vec2{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
+  };
+  auto check = [&](std::vector<geom::Vec2> b, const char* what) {
+    for (int perm = 0; perm < 3; ++perm) {
+      const auto got = p.from_basis(b);
+      const auto want = reference_from_basis(b);
+      ASSERT_EQ(got, want) << what << " |b|=" << b.size();
+      rng.shuffle(b);
+    }
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    // Random sets of 0-3 points.
+    std::vector<geom::Vec2> b;
+    const std::size_t k = rng.below(4);
+    for (std::size_t i = 0; i < k; ++i) b.push_back(point());
+    check(b, "random");
+    // Duplicates: a repeated point, alone and with a partner.
+    const geom::Vec2 a = point();
+    const geom::Vec2 c = point();
+    check({a, a}, "duplicate pair");
+    check({a, a, c}, "duplicate in triple");
+    check({a, a, a}, "triple duplicate");
+    // Near-duplicates: two points within the containment tolerance, so
+    // more than one diametral pair encloses the third point and the
+    // first-qualifying-pair order decides the basis.
+    const double eps = rng.uniform(1e-13, 1e-10);
+    check({a, c, c + geom::Vec2{eps, -eps}}, "near-duplicate");
+    check({a, a + geom::Vec2{0.0, eps}, c}, "near-duplicate");
+    // Collinear triples: the middle point lies on the segment.
+    const double t = rng.uniform(0.0, 1.0);
+    check({a, c, a + t * (c - a)}, "collinear");
+    // A diametral pair plus an interior point.
+    const geom::Vec2 mid = 0.5 * (a + c);
+    const double r = geom::dist(a, c) / 2.0;
+    const double ang = rng.uniform(0.0, 6.283185307179586);
+    const double s = rng.uniform(0.0, 0.99) * r;
+    check({a, c, mid + geom::Vec2{s * std::cos(ang), s * std::sin(ang)}},
+          "diametral pair + interior");
+    // Cocircular triples (on the boundary up to rounding).
+    const geom::Vec2 o = point();
+    const double rr = rng.uniform(0.1, 4.0);
+    std::vector<geom::Vec2> ring;
+    for (int i = 0; i < 3; ++i) {
+      const double th = rng.uniform(0.0, 6.283185307179586);
+      ring.push_back(o + geom::Vec2{rr * std::cos(th), rr * std::sin(th)});
+    }
+    check(ring, "cocircular");
+  }
 }
 
 TEST(MinDisk, SolutionOrderBreaksTiesDeterministically) {
