@@ -397,10 +397,7 @@ HighLoadResult<P> run_high_load(const P& p,
                  [&](gossip::NodeId v) { return store.view(v); });
     }
 
-    const std::size_t m = store.total_elements();
-    if (m > res.stats.max_total_elements) res.stats.max_total_elements = m;
-    res.stats.bookkeeping_touches_total += bookkeeping;
-    res.stats.last_round_bookkeeping_touches = bookkeeping;
+    res.stats.end_round(store.total_elements(), bookkeeping);
 
     const bool done = cfg.run_termination ? term.all_output() : found;
     if (done) {
@@ -419,12 +416,7 @@ HighLoadResult<P> run_high_load(const P& p,
     }
   }
 
-  net.meter().finish();
-  res.stats.max_work_per_round = net.meter().max_work_per_round();
-  res.stats.total_push_ops = net.meter().total_push_ops();
-  res.stats.total_pull_ops = net.meter().total_pull_ops();
-  res.stats.total_bytes = net.meter().total_bytes();
-  res.stats.final_total_elements = store.total_elements();
+  res.stats.finish(net.meter(), store.total_elements());
   obs::counter("engine.high_load.runs").add(1);
   obs::counter("engine.high_load.rounds").add(res.stats.rounds_to_first);
   obs::gauge("engine.high_load.store_arena_bytes")

@@ -22,16 +22,24 @@
 // pulls, receiver-list delivery walks, and a chunk-collected stage-B
 // replay that only visits winners and W_i pushers — all bit-identical to
 // a serial full scan for any parallel_nodes value.
+//
+// Stage A is one kernel (detail::HittingSetKernel) that core/stage_a.hpp
+// runs inline, on a thread pool, or on shard workers over any transport.
+// Every node knows S, so a shard worker receives the set system once, in
+// its bootstrap frame, and each task frame only the round's sampler
+// parameters, store snapshot and per-node RNG states.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/result.hpp"
 #include "core/sampling.hpp"
+#include "core/stage_a.hpp"
 #include "gossip/mailbox.hpp"
 #include "gossip/network.hpp"
 #include "obs/obs.hpp"
@@ -39,7 +47,6 @@
 #include "shard/runtime.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lpt::core {
 
@@ -56,27 +63,17 @@ struct HittingSetConfig {
   bool filtering = true;
   std::size_t max_rounds = 0;  // 0: auto cap (per doubling stage)
   gossip::FaultModel faults;   // message loss / sleeping nodes
-  std::size_t parallel_nodes = 0;  // >1: the per-node compute phase (pulls,
-                                   // sample selection, hit marking, W_i
-                                   // assembly) runs on this many threads.
-                                   // Results are bit-identical to the
-                                   // serial run:
-                                   // the phase consumes only the per-node
-                                   // RNG streams, and all shared-RNG
-                                   // traffic (mailbox pushes) is replayed
-                                   // serially in node order — the same
-                                   // stage-A/stage-B split as low/high
-                                   // load.  One pool level only: combining
-                                   // with a bench --threads sweep
-                                   // oversubscribes.
-  shard::ShardConfig shard;  // shards >= 1: stage A runs on shard workers
-                             // (threads or fork()ed processes) over
-                             // contiguous node ranges with the stage-B
-                             // replay applied after the deterministic
-                             // shard-order merge — bit-identical to the
-                             // serial and parallel_nodes paths for every
-                             // shard count and transport.  Takes precedence
-                             // over parallel_nodes.
+  std::size_t parallel_nodes = 0;  // >1: stage A (pulls, sample selection,
+                                   // hit marking, W_i assembly) runs on
+                                   // this many threads, bit-identical to
+                                   // the serial run (core/stage_a.hpp).
+                                   // One pool level only: combining with a
+                                   // bench --threads sweep oversubscribes.
+  shard::ShardConfig shard;  // shards >= 1: stage A runs on that many shard
+                             // workers (shard/runtime.hpp), bit-identical
+                             // to the serial run for every shard count and
+                             // transport; takes precedence over
+                             // parallel_nodes.
 };
 
 struct HittingSetRunResult {
@@ -96,134 +93,131 @@ inline std::size_t hitting_set_sample_size(std::size_t d, std::size_t s) {
 
 namespace detail {
 
-/// Per-worker scratch for one hitting-set stage-A node evaluation
-/// (thread_local in the in-process path, closure-owned on shard workers).
+/// Per-thread (per-worker) scratch of the hitting-set kernel.
 struct HsStageAScratch {
   PullBuffer<std::uint32_t> buf;
   std::vector<std::uint8_t> hit;
   std::vector<std::uint32_t> unhit;
 };
 
-enum class HsNodeOutcome : std::uint8_t {
-  kFailed,  // sample came up short (strict mode) or empty
-  kWinner,  // R_i hits every set: `sample` holds the answer
-  kPusher,  // `wi` holds W_i = S \ X(v_i) for a random unhit S (may be
-            // empty or over the push cap; the caller applies the cap)
+/// A hitting-set node's stage-A output for stage B.
+struct HsNode {
+  bool winner = false;                // R_i hits every set (sample is it)
+  std::vector<std::uint32_t> sample;  // the winning R_i (filled only on win)
+  std::vector<std::uint32_t> wi;      // W_i = S \ X(v_i) otherwise
 };
 
-/// One node's stage A (its `pulls` pulls against the round-start snapshot
-/// `store`, sample selection, hit marking, W_i assembly) — the single
-/// definition executed by both the in-process chunk loop (over the
-/// snapshot the run builds each round) and the shard workers (over the one
-/// they decode).  Consumes `rng` exactly as a serial full scan would; adds
-/// the answers' wire bytes to `response_bytes`.
-inline HsNodeOutcome hitting_set_node_stage_a(
-    const problems::HittingSetProblem& problem,
-    const shard::StoreSnapshot<std::uint32_t>& store, const PullRound& round,
-    gossip::NodeId v, std::size_t pulls, std::size_t r, bool strict,
-    util::Rng& rng, HsStageAScratch& scr, std::uint64_t& response_bytes,
-    std::vector<std::uint32_t>& sample, std::vector<std::uint32_t>& wi) {
-  const auto& sys = problem.system();
-  const std::size_t s = sys.set_count();
-  const std::span<std::uint32_t> answers =
-      draw_pulls(store, round, pulls, rng, scr.buf);
-  response_bytes +=
-      pull_response_bytes(store, std::span<const std::uint32_t>(answers));
-  const SampleView<std::uint32_t> view =
-      select_distinct_answers(store, answers, r, rng, strict, scr.buf);
-  if (!view.success) return HsNodeOutcome::kFailed;
-  // S_i: sets not hit by R_i.
-  problem.mark_hit(view.sample, scr.hit);
-  scr.unhit.clear();
-  for (std::uint32_t j = 0; j < s; ++j) {
-    if (!scr.hit[j]) scr.unhit.push_back(j);
-  }
-  if (scr.unhit.empty()) {
-    // R_i is a hitting set: the algorithm's answer (line 13).
-    sample.assign(view.sample.begin(), view.sample.end());
-    return HsNodeOutcome::kWinner;
-  }
-  // Random unhit set; W_i = S \ X(v_i) (lines 6-9; cap applied by caller).
-  const auto& chosen = sys.set(scr.unhit[rng.below(scr.unhit.size())]);
-  const std::span<const std::uint32_t> local = store.view(v);
-  wi.clear();
-  for (auto x : chosen) {
-    bool have = false;
-    for (auto own : local) {
-      if (own == x) {
-        have = true;
-        break;
-      }
-    }
-    if (!have) wi.push_back(x);
-  }
-  return HsNodeOutcome::kPusher;
-}
-
-/// Build the stage-A serve handler every hitting-set shard worker runs.
-/// Captures the problem by value: the set system is part of the problem
-/// description every node knows (Section 4), so it ships once at spawn
-/// (fork inheritance / closure copy), never per round.
-///
-/// Task payload (after the MsgType byte):
-///   u32 r · u64 push_cap · u32 pulls · u32 begin · u32 end · the round's
-///   pull inputs (put_pull_inputs) · per node: u8 flags; if kActive: rng
-///   state.
-/// Result payload:
-///   per node: u8 flags; if kActive: rng state (advanced); if kWinner:
-///   winning-sample seq; else if kReplay: capped W_i seq — then
-///   u32 attempts, u32 failures, u64 response bytes.
-inline auto make_hitting_set_serve(problems::HittingSetProblem problem,
-                                   bool strict) {
+/// The hitting-set stage-A kernel (core/stage_a.hpp), built per round: one
+/// node's pulls against the round-start snapshot, sample selection, hit
+/// marking and W_i assembly, for the in-process loop and the shard workers.
+struct HittingSetKernel {
   using Element = std::uint32_t;
-  return [problem = std::move(problem), strict, rng = util::Rng{},
-          scr = HsStageAScratch{}, inputs = RemotePullInputs<Element>{},
-          sample = std::vector<Element>{},
-          wi = std::vector<Element>{}](gossip::Decoder& d,
-                                       gossip::Encoder& e) mutable {
-    const std::uint32_t r = d.get_u32();
-    const std::uint64_t push_cap = d.get_u64();
-    const std::uint32_t pulls = d.get_u32();
-    const gossip::NodeId begin = d.get_u32();
-    const gossip::NodeId end = d.get_u32();
-    inputs.decode(d);
-    LPT_CHECK_MSG(begin <= end && end <= inputs.store().nodes(),
-                  "shard wire: task range outside the snapshot");
-    shard::put_msg_type(e, shard::MsgType::kStageAResult);
-    std::uint32_t attempts = 0;
-    std::uint32_t failures = 0;
-    std::uint64_t response_bytes = 0;
-    for (gossip::NodeId v = begin; v < end; ++v) {
-      if (!(d.get_u8() & shard::nodeflag::kActive)) {
-        e.put_u8(0);
-        continue;
-      }
-      shard::get_rng(d, rng);
-      ++attempts;
-      const HsNodeOutcome out = hitting_set_node_stage_a(
-          problem, inputs.store(), inputs.round(), v, pulls, r, strict, rng,
-          scr, response_bytes, sample, wi);
-      std::uint8_t flags = shard::nodeflag::kActive;
-      if (out == HsNodeOutcome::kFailed) {
-        ++failures;
-      } else if (out == HsNodeOutcome::kWinner) {
-        flags |= shard::nodeflag::kWinner | shard::nodeflag::kReplay;
-      } else if (!wi.empty() && wi.size() <= push_cap) {
-        flags |= shard::nodeflag::kReplay;
-      }
-      e.put_u8(flags);
-      shard::put_rng(e, rng);
-      if (flags & shard::nodeflag::kWinner) {
-        shard::put_seq(e, std::span<const Element>(sample));
-      } else if (flags & shard::nodeflag::kReplay) {
-        shard::put_seq(e, std::span<const Element>(wi));
-      }
+  using Node = HsNode;
+  using Scratch = HsStageAScratch;
+  static constexpr bool kShardable = true;
+  static constexpr const char* kChunkSpan = "hitting_set.stage_a.chunk";
+
+  const problems::HittingSetProblem& problem;
+  bool strict;           // strict sampling
+  std::size_t r;         // sample size
+  std::size_t push_cap;  // W_i is pushed only when |W_i| <= push_cap
+  std::size_t pulls;
+
+  /// Consumes `rng` exactly as a serial full scan would.
+  std::uint8_t run(const shard::StoreSnapshot<Element>& store,
+                   const PullRound& round, gossip::NodeId v, util::Rng& rng,
+                   Scratch& scr, bool /*first_open*/,
+                   std::uint64_t& response_bytes, Node& out) const {
+    const auto& sys = problem.system();
+    const std::size_t s = sys.set_count();
+    const std::span<std::uint32_t> answers =
+        draw_pulls(store, round, pulls, rng, scr.buf);
+    response_bytes +=
+        pull_response_bytes(store, std::span<const std::uint32_t>(answers));
+    const SampleView<Element> view =
+        select_distinct_answers(store, answers, r, rng, strict, scr.buf);
+    out.winner = false;
+    if (!view.success) return shard::nodeflag::kFailed;
+    // S_i: sets not hit by R_i.
+    problem.mark_hit(view.sample, scr.hit);
+    scr.unhit.clear();
+    for (std::uint32_t j = 0; j < s; ++j) {
+      if (!scr.hit[j]) scr.unhit.push_back(j);
     }
-    e.put_u32(attempts);
-    e.put_u32(failures);
-    e.put_u64(response_bytes);
+    if (scr.unhit.empty()) {
+      // R_i is a hitting set: the algorithm's answer (line 13).
+      out.winner = true;
+      out.sample.assign(view.sample.begin(), view.sample.end());
+      return shard::nodeflag::kWinner | shard::nodeflag::kReplay;
+    }
+    // Random unhit set; W_i = S \ X(v_i) (lines 6-9), pushed in stage B
+    // when within the push cap.
+    const auto& chosen = sys.set(scr.unhit[rng.below(scr.unhit.size())]);
+    const std::span<const std::uint32_t> local = store.view(v);
+    out.wi.clear();
+    for (auto x : chosen) {
+      bool have = false;
+      for (auto own : local) {
+        if (own == x) {
+          have = true;
+          break;
+        }
+      }
+      if (!have) out.wi.push_back(x);
+    }
+    return !out.wi.empty() && out.wi.size() <= push_cap
+               ? shard::nodeflag::kReplay
+               : std::uint8_t{0};
+  }
+
+  // Task header: u32 r · u64 push_cap · u32 pulls.  Node payload: if
+  // kWinner: the winning sample seq; else if kReplay: W_i seq.
+  void put_round(gossip::Encoder& e) const {
+    e.put_u32(static_cast<std::uint32_t>(r));
+    e.put_u64(static_cast<std::uint64_t>(push_cap));
+    e.put_u32(static_cast<std::uint32_t>(pulls));
+  }
+  void put_node(gossip::Encoder& e, std::uint8_t flags, const Node& n) const {
+    if (flags & shard::nodeflag::kWinner) {
+      shard::put_seq(e, std::span<const Element>(n.sample));
+    } else if (flags & shard::nodeflag::kReplay) {
+      shard::put_seq(e, std::span<const Element>(n.wi));
+    }
+  }
+  void get_node(gossip::Decoder& d, std::uint8_t flags, Node& n) const {
+    n.winner = (flags & shard::nodeflag::kWinner) != 0;
+    if (n.winner) {
+      shard::get_seq(d, n.sample);
+    } else if (flags & shard::nodeflag::kReplay) {
+      shard::get_seq(d, n.wi);
+    }
+  }
+
+  /// A hitting-set shard worker's bootstrap payload: every node knows S
+  /// (Section 4), so the set system ships once per worker, never per
+  /// round.  Schema: u8 strict · problem instance (its SetSystem).
+  struct Boot {
+    bool strict;
+    problems::HittingSetProblem problem;
+
+    void put(gossip::Encoder& e) const {
+      e.put_u8(strict ? 1 : 0);
+      wire_put(e, problem);
+    }
+
+    static Boot get(gossip::Decoder& d) {
+      const bool strict = d.get_u8() != 0;
+      return {strict,
+              wire_make(d, std::type_identity<problems::HittingSetProblem>{})};
+    }
+
+    /// This round's kernel, from a task frame's header.
+    HittingSetKernel kernel(gossip::Decoder& task) const {
+      return {problem, strict, task.get_u32(),
+              static_cast<std::size_t>(task.get_u64()), task.get_u32()};
+    }
   };
-}
+};
 
 }  // namespace detail
 
@@ -259,60 +253,25 @@ inline HittingSetRunResult run_hitting_set(
   res.stats.max_total_elements = res.stats.initial_total_elements;
 
   gossip::Mailbox<Element> copies_mail(net);
-  std::vector<gossip::NodeId> sleeping_scratch;  // task-frame encode scratch
-  shard::StoreSnapshot<Element> snapshot;  // the round-start store, in-process
   const std::size_t log_n = util::ceil_log2(n) + 1;
 
   std::size_t d = cfg.hitting_set_size ? cfg.hitting_set_size : 1;
   bool done = false;
   std::size_t global_round = 0;
 
-  // Per-node round results for the compute stage (stage A), persistent
-  // across rounds so the steady state allocates nothing.  Only what stage
-  // B consumes lives here — the sampler/hit-marking scratch is per worker
-  // thread (thread_local in the stage-A body), keeping the footprint
-  // O(n + s) per thread instead of O(n * s).
-  struct NodeRound {
-    std::uint8_t winner = 0;      // R_i hits every set (sample is it)
-    std::vector<Element> sample;  // the winning R_i (filled only on win)
-    std::vector<Element> wi;
-  };
-  std::vector<NodeRound> scratch(n);
+  // Per-node stage-A output, persistent across rounds so the steady state
+  // allocates nothing.  Only what stage B consumes lives here — the
+  // sampler/hit-marking scratch is per worker thread, keeping the
+  // footprint O(n + s) per thread instead of O(n * s).
+  std::vector<detail::HsNode> scratch(n);
 
-  // Shard runtime (shard/runtime.hpp): stage A on shard workers over
-  // contiguous node ranges, stage B applied in shard order — bit-identical
-  // to the serial and parallel_nodes paths.  Workers spawn (PipeTransport:
-  // fork) before any thread pool exists.
-  const bool sharded = cfg.shard.enabled();
-  std::optional<shard::ShardHarness> harness;
-  if (sharded) {
-    // All transports (socket included) use the fork-inheriting closure
-    // path here: a HittingSetProblem owns the whole SetSystem, so a
-    // bootstrap-over-wire worker would need a set-system codec — a
-    // documented limitation until one exists (socket workers are still
-    // fork()ed locally, so inheritance holds on one box).
-    harness.emplace(
-        n, cfg.shard,
-        detail::make_hitting_set_serve(problem, cfg.strict_sampling));
-  }
-
-  std::optional<util::ThreadPool> pool;
-  if (!sharded && cfg.parallel_nodes > 1) pool.emplace(cfg.parallel_nodes);
-
-  // Stage-A chunk accumulators (see run_low_load): candidates for stage-B
-  // replay in ascending node order plus sampler counters, bit-identical
-  // for any thread count.  In the sharded run the chunks are the shards
-  // themselves.
-  struct ChunkAcc {
-    std::vector<gossip::NodeId> replay;
-    std::uint32_t attempts = 0;
-    std::uint32_t failures = 0;
-    std::uint64_t response_bytes = 0;
-  };
-  const std::size_t chunk =
-      pool ? std::max<std::size_t>(64, n / (cfg.parallel_nodes * 8)) : n;
-  std::vector<ChunkAcc> chunks(sharded ? harness->frame_count()
-                                       : util::chunk_count(n, chunk));
+  // Stage A (core/stage_a.hpp) runs on shard workers when configured, else
+  // on cfg.parallel_nodes threads — bit-identical to the serial run either
+  // way.  Workers spawn here, before any thread pool exists.
+  StageA<detail::HittingSetKernel> stage_a(
+      n, cfg.parallel_nodes, cfg.shard, [&] {
+        return detail::HittingSetKernel::Boot{cfg.strict_sampling, problem};
+      });
 
   while (!done) {
     const std::size_t r = cfg.sample_size
@@ -322,7 +281,6 @@ inline HittingSetRunResult run_hitting_set(
     sampler.target = r;
     sampler.c = cfg.sampler_c;
     sampler.log_n = log_n;
-    sampler.strict = cfg.strict_sampling;
     const std::size_t pulls = sampler.pulls_per_node();
     const double keep_p =
         1.0 / (1.0 + 1.0 / (2.0 * static_cast<double>(d)));
@@ -344,110 +302,25 @@ inline HittingSetRunResult run_hitting_set(
       obs::TraceSpan round_span("hitting_set.round", global_round);
       std::size_t bookkeeping = 0;
 
-      // --- Per-node compute (stage A): the node's pulls (Section 2.1),
-      // sample selection, hit marking, and W_i assembly.  Touches only
-      // node_rng[v] and the store, read-only until delivery, so it fans
-      // out across threads when cfg.parallel_nodes asks for it; every
-      // shared-RNG side effect (the W_i mailbox pushes) is collected per
-      // chunk and replayed in stage B in ascending node order, making
-      // parallel runs bit-identical to serial ones.
-      const PullRound pull_round = core::pull_round(net);
-      auto stage_a = [&](std::size_t k, std::size_t begin, std::size_t end) {
-        obs::TraceSpan chunk_span("hitting_set.stage_a.chunk", k);
-        thread_local detail::HsStageAScratch scr;
-        ChunkAcc& ch = chunks[k];
-        ch.replay.clear();
-        ch.attempts = 0;
-        ch.failures = 0;
-        ch.response_bytes = 0;
-        for (std::size_t vi = begin; vi < end; ++vi) {
-          const auto v = static_cast<gossip::NodeId>(vi);
-          NodeRound& sc = scratch[v];
-          sc.winner = 0;
-          if (net.asleep(v)) continue;
-          ++ch.attempts;
-          const detail::HsNodeOutcome out = detail::hitting_set_node_stage_a(
-              problem, snapshot, pull_round, v, pulls, r, sampler.strict,
-              node_rng[v], scr, ch.response_bytes, sc.sample, sc.wi);
-          if (out == detail::HsNodeOutcome::kFailed) {
-            ++ch.failures;
-            continue;
-          }
-          if (out == detail::HsNodeOutcome::kWinner) {
-            sc.winner = 1;
-            ch.replay.push_back(v);
-            continue;
-          }
-          if (!sc.wi.empty() && sc.wi.size() <= push_cap) {
-            ch.replay.push_back(v);
-          }
-        }
-      };
-      if (sharded) {
-        // Ship each shard, in bounded sub-frames, the round's read-only
-        // pull inputs once plus each node's flags and RNG state;
-        // frame-indexed ChunkAccs walked in order by stage B recover the
-        // ascending node order (the deterministic-merge contract).
-        harness->round(
-            [&](shard::ShardRange rg, gossip::Encoder& e) {
-              e.put_u32(static_cast<std::uint32_t>(r));
-              e.put_u64(static_cast<std::uint64_t>(push_cap));
-              e.put_u32(static_cast<std::uint32_t>(pulls));
-              e.put_u32(rg.begin);
-              e.put_u32(rg.end);
-              put_pull_inputs(e, net, store, sleeping_scratch);
-              for (gossip::NodeId v = rg.begin; v < rg.end; ++v) {
-                const bool active = !net.asleep(v);
-                e.put_u8(active ? shard::nodeflag::kActive : std::uint8_t{0});
-                if (active) shard::put_rng(e, node_rng[v]);
-              }
-            },
-            [&](std::size_t frame, shard::ShardRange rg,
-                gossip::Decoder& dec) {
-              ChunkAcc& ch = chunks[frame];
-              ch.replay.clear();
-              for (gossip::NodeId v = rg.begin; v < rg.end; ++v) {
-                const std::uint8_t flags = dec.get_u8();
-                NodeRound& sc = scratch[v];
-                sc.winner = 0;
-                if (flags & shard::nodeflag::kActive) {
-                  shard::get_rng(dec, node_rng[v]);
-                }
-                if (flags & shard::nodeflag::kWinner) {
-                  sc.winner = 1;
-                  shard::get_seq(dec, sc.sample);
-                  ch.replay.push_back(v);
-                } else if (flags & shard::nodeflag::kReplay) {
-                  shard::get_seq(dec, sc.wi);
-                  ch.replay.push_back(v);
-                }
-              }
-              ch.attempts = dec.get_u32();
-              ch.failures = dec.get_u32();
-              ch.response_bytes = dec.get_u64();
-            });
-      } else {
-        // The round-start store as one flat snapshot with dense ids (shard
-        // workers decode their own from the task frame).
-        snapshot.assign(store);
-        util::parallel_chunks(pool ? &*pool : nullptr, n, chunk, stage_a);
-      }
-
-      // Meter the round's pulls on the coordinator: every awake node
-      // issued `pulls` of them.
-      for (gossip::NodeId v = 0; v < n; ++v) {
-        if (!net.asleep(v)) net.meter().add_pulls(v, pulls);
-      }
+      // --- Per-node compute (stage A, core/stage_a.hpp): the node's pulls
+      // (Section 2.1), sample selection, hit marking, and W_i assembly,
+      // against the round-start store.  It touches only node_rng[v], so it
+      // fans out across threads or shard workers; every shared-RNG side
+      // effect (the W_i mailbox pushes) is collected per chunk and
+      // replayed in stage B in ascending node order, making those runs
+      // bit-identical to serial ones.
+      stage_a.run(
+          detail::HittingSetKernel{problem, cfg.strict_sampling, r, push_cap,
+                                   pulls},
+          net, store, [&](gossip::NodeId v) { return !net.asleep(v); },
+          node_rng, scratch, res.stats);
 
       // --- Shared-state replay (stage B): only winners and within-cap W_i
       // pushers, in ascending node order. ---
-      for (const ChunkAcc& ch : chunks) {
-        res.stats.sampling_attempts += ch.attempts;
-        res.stats.sampling_failures += ch.failures;
-        net.meter().add_response_bytes(ch.response_bytes);
+      for (const ChunkAcc& ch : stage_a.chunks()) {
         for (const gossip::NodeId v : ch.replay) {
           ++bookkeeping;
-          NodeRound& sc = scratch[v];
+          detail::HsNode& sc = scratch[v];
           if (sc.winner) {
             if (!done) {
               done = true;
@@ -473,10 +346,7 @@ inline HittingSetRunResult run_hitting_set(
             keep_p,
             [&](gossip::NodeId v) -> util::Rng& { return node_rng[v]; });
       }
-      const std::size_t m = store.total_elements();
-      if (m > res.stats.max_total_elements) res.stats.max_total_elements = m;
-      res.stats.bookkeeping_touches_total += bookkeeping;
-      res.stats.last_round_bookkeeping_touches = bookkeeping;
+      res.stats.end_round(store.total_elements(), bookkeeping);
     }
 
     if (!done) {
@@ -487,15 +357,8 @@ inline HittingSetRunResult run_hitting_set(
 
   res.valid = !res.hitting_set.empty() &&
               problem.is_hitting_set(res.hitting_set);
-  if (sharded && cfg.shard.recovery_out != nullptr) {
-    *cfg.shard.recovery_out = harness->recovery_stats();
-  }
-  net.meter().finish();
-  res.stats.max_work_per_round = net.meter().max_work_per_round();
-  res.stats.total_push_ops = net.meter().total_push_ops();
-  res.stats.total_pull_ops = net.meter().total_pull_ops();
-  res.stats.total_bytes = net.meter().total_bytes();
-  res.stats.final_total_elements = store.total_elements();
+  stage_a.copy_recovery_stats(cfg.shard.recovery_out);
+  res.stats.finish(net.meter(), store.total_elements());
   obs::counter("engine.hitting_set.runs").add(1);
   obs::counter("engine.hitting_set.rounds").add(res.stats.rounds_to_first);
   return res;

@@ -55,6 +55,11 @@
 // and the filter pass consumes per-node streams only — so results are
 // bit-identical for every thread count.
 //
+// Stage A is one kernel (detail::LowLoadKernel) that core/stage_a.hpp runs
+// inline, on a thread pool, or on shard workers started from a bootstrap
+// frame holding the problem instance, the sampler constants, the
+// termination flag and the oracle.
+//
 // LowLoadRun exposes one run round by round (step()); run_low_load is that
 // run stepped to completion.  A round reads only the run's own state, so a
 // run stepped with other work between its rounds is bit-identical to an
@@ -65,6 +70,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -72,6 +78,7 @@
 #include "core/lp_type.hpp"
 #include "core/result.hpp"
 #include "core/sampling.hpp"
+#include "core/stage_a.hpp"
 #include "core/termination.hpp"
 #include "gossip/mailbox.hpp"
 #include "gossip/network.hpp"
@@ -79,7 +86,6 @@
 #include "shard/runtime.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lpt::core {
 
@@ -112,34 +118,20 @@ struct LowLoadConfig {
   std::size_t dimension_override = 0;  // run as if dim(H, f) were this value
                                        // (the Section 1.4 doubling search on
                                        // an unknown d; 0 = use p.dimension())
-  std::size_t parallel_nodes = 0;  // >1: per-node compute phase (pulls,
-                                   // sample selection, local solve,
-                                   // violator scan) runs on this many
-                                   // threads.  Results are bit-identical
-                                   // to the serial run: the phase
-                                   // consumes only the per-node RNG
-                                   // streams, and all shared-RNG traffic is
-                                   // replayed serially in node order.  Only
-                                   // kPullBased sampling parallelizes (the
-                                   // idealized sampler meters global pulls).
+  std::size_t parallel_nodes = 0;  // >1: stage A (pulls, sample selection,
+                                   // local solve, violator scan) runs on
+                                   // this many threads, bit-identical to
+                                   // the serial run (core/stage_a.hpp).
                                    // The pool lives for one run: combining
                                    // with a bench-level --threads sweep
-                                   // oversubscribes (threads x parallel_
-                                   // nodes OS threads) — pick one level.
-  shard::ShardConfig shard;  // shards >= 1: the stage-A compute runs on that
-                             // many shard workers (in-process threads or
-                             // fork()ed processes; see shard/runtime.hpp)
-                             // over contiguous node ranges, with the stage-B
-                             // replay applied after a deterministic merge of
-                             // the per-shard candidate streams.  Results are
-                             // bit-identical to the serial and the
-                             // parallel_nodes paths for every shard count
-                             // and either transport.  Takes precedence over
-                             // parallel_nodes; requires kPullBased sampling
-                             // and a problem with shard wire codecs
-                             // (wire_put/wire_get for Element and Solution),
-                             // else the run falls back to the in-process
-                             // paths.
+                                   // oversubscribes — pick one level.
+  shard::ShardConfig shard;  // shards >= 1: stage A runs on that many shard
+                             // workers (shard/runtime.hpp), bit-identical
+                             // to the serial run for every shard count and
+                             // transport; takes precedence over
+                             // parallel_nodes.  Needs shard wire codecs for
+                             // the problem's elements, solutions and
+                             // instance, else the run stays in-process.
 };
 
 template <LpTypeProblem P>
@@ -149,189 +141,155 @@ struct DistributedLpResult {
 };
 
 namespace detail {
-// "No node" sentinel for the stage-A chunk accumulators.  Namespace scope
-// (not function-local constexpr) because GCC 12 ICEs on a local struct
-// NSDMI referencing a function-local constexpr inside a template.
-inline constexpr gossip::NodeId kNoNodeId = 0xffffffffu;
 
-/// Sample selection, local solve and violator scan of node v from its
-/// drawn pull answers (slots of `store`, reordered in place) and its local
-/// multiset.  Consumes `rng` exactly as a serial full scan would; returns
-/// false when the sample failed (no solve, no further draws).
-template <LpTypeProblem P>
-bool low_load_solve_sample(
-    const P& p, const SamplerConfig& sampler,
-    const shard::StoreSnapshot<typename P::Element>& store,
-    std::span<std::uint32_t> answers, gossip::NodeId v, util::Rng& rng,
-    PullBuffer<typename P::Element>& buf, typename P::Solution& sol,
-    std::vector<typename P::Element>& violators) {
-  const SampleView<typename P::Element> view = select_distinct_answers(
-      store, answers, sampler.target, rng, sampler.strict, buf);
-  if (!view.success) return false;
-  // A full-size sample left the selection step in uniform random order, so
-  // the problem's pre-shuffled local solve applies; lenient short samples
-  // keep dedupe order and take the shuffling solve.
-  if constexpr (requires { p.solve_shuffled(view.sample); }) {
-    sol = view.randomized ? p.solve_shuffled(view.sample)
-                          : p.solve(view.sample);
-  } else {
-    sol = p.solve(view.sample);
-  }
-  // W_i: local violators (Algorithm 2 lines 5-6), pushed in stage B.
-  violators.clear();
-  for (const auto& h : store.view(v)) {
-    if (p.violates(sol, h)) violators.push_back(h);
-  }
-  return true;
-}
-
-/// One node's stage A: its pulls (draw_pulls on its own stream, against
-/// the round-start snapshot `store`), then low_load_solve_sample — the
-/// single definition executed by the in-process chunk loop (over the
-/// snapshot the run builds each round) and by the shard workers (over the
-/// one they decode), so the paths cannot drift.  Adds the answers' wire
-/// bytes to `response_bytes`.
-template <LpTypeProblem P>
-bool low_load_node_stage_a(
-    const P& p, const SamplerConfig& sampler,
-    const shard::StoreSnapshot<typename P::Element>& store,
-    const PullRound& round, gossip::NodeId v, util::Rng& rng,
-    PullBuffer<typename P::Element>& buf, std::uint64_t& response_bytes,
-    typename P::Solution& sol, std::vector<typename P::Element>& violators) {
-  const std::span<std::uint32_t> answers =
-      draw_pulls(store, round, sampler.pulls_per_node(), rng, buf);
-  response_bytes +=
-      pull_response_bytes(store, std::span<const std::uint32_t>(answers));
-  return low_load_solve_sample(p, sampler, store, answers, v, rng, buf, sol,
-                               violators);
-}
-
-/// The sharded runtime is available for P when its element and solution
-/// types have shard wire codecs (shard/wire.hpp customization point).
+/// The sharded runtime is available for P when its elements, its solutions
+/// and its instances have shard wire codecs (shard/wire.hpp customization
+/// points); otherwise a run falls back to the in-process paths.
 template <typename P>
 concept ShardableLowLoad = shard::Wirable<typename P::Element> &&
-                           shard::Wirable<typename P::Solution>;
+                           shard::Wirable<typename P::Solution> &&
+                           shard::WirableInstance<P>;
 
-/// Build the stage-A serve handler every low-load shard worker runs.
-/// Captures only run-static state (problem, oracle, sampler constants) by
-/// value, so it stays valid in a fork()ed child and is data-race-free
-/// across in-process worker threads (each worker owns a copy).
-///
-/// Task payload (after the MsgType byte):
-///   u8 found_snapshot · u32 begin · u32 end · the round's pull inputs
-///   (put_pull_inputs: loss rate, sorted sleeping nodes, store snapshot) ·
-///   per node in [begin, end): u8 flags; if kActive: rng state.
-/// Result payload:
-///   per node: u8 flags; if kActive: rng state (advanced); if kReplay:
-///   violators seq; if kSolution: solution — then u32 attempts,
-///   u32 failures, u32 first_opt (kNoNodeId when none), u64 response bytes.
+/// A low-load node's stage-A output: its sample's solution and its local
+/// violators W_i, which stage B pushes.
 template <LpTypeProblem P>
-auto make_low_load_serve(P p, typename P::Solution oracle,
-                         SamplerConfig sampler, bool run_termination) {
+struct LowLoadNode {
+  typename P::Solution sol;
+  std::vector<typename P::Element> violators;
+};
+
+/// The low-load stage-A kernel (core/stage_a.hpp), built per round: one
+/// node's pulls (draw_pulls against the round-start snapshot, or exact
+/// uniform draws from H(V) when idealized), sample selection, local solve
+/// and violator scan, for the in-process chunk loop and the shard workers.
+template <LpTypeProblem P>
+struct LowLoadKernel {
   using Element = typename P::Element;
   using Solution = typename P::Solution;
-  return [p = std::move(p), oracle = std::move(oracle), sampler,
-          run_termination, rng = util::Rng{}, sol = Solution{},
-          inputs = RemotePullInputs<Element>{}, buf = PullBuffer<Element>{},
-          violators = std::vector<Element>{}](gossip::Decoder& d,
-                                              gossip::Encoder& e) mutable {
-    const bool found_snapshot = d.get_u8() != 0;
-    const gossip::NodeId begin = d.get_u32();
-    const gossip::NodeId end = d.get_u32();
-    inputs.decode(d);
-    LPT_CHECK_MSG(begin <= end && end <= inputs.store().nodes(),
-                  "shard wire: task range outside the snapshot");
-    shard::put_msg_type(e, shard::MsgType::kStageAResult);
-    std::uint32_t attempts = 0;
-    std::uint32_t failures = 0;
-    std::uint64_t response_bytes = 0;
-    gossip::NodeId first_opt = kNoNodeId;
-    for (gossip::NodeId v = begin; v < end; ++v) {
-      if (!(d.get_u8() & shard::nodeflag::kActive)) {
-        e.put_u8(0);
-        continue;
+  using Node = LowLoadNode<P>;
+  using Scratch = PullBuffer<Element>;
+  static constexpr bool kShardable = ShardableLowLoad<P>;
+  static constexpr const char* kChunkSpan = "low_load.stage_a.chunk";
+
+  const P& p;
+  const Solution& oracle;
+  const SamplerConfig& sampler;
+  std::size_t pulls;     // sampler.pulls_per_node()
+  bool idealized;        // SamplingMode::kIdealized
+  bool run_termination;  // every node's solution feeds Algorithm 3
+  bool found;            // an optimum was found in an earlier round
+
+  /// Consumes `rng` exactly as a serial full scan would.  kFirst marks the
+  /// range's first node whose solution is the optimum, until one is found.
+  std::uint8_t run(const shard::StoreSnapshot<Element>& store,
+                   const PullRound& round, gossip::NodeId v, util::Rng& rng,
+                   Scratch& buf, bool first_open,
+                   std::uint64_t& response_bytes, Node& out) const {
+    std::span<std::uint32_t> answers;
+    if (!idealized) {
+      answers = draw_pulls(store, round, pulls, rng, buf);
+      response_bytes +=
+          pull_response_bytes(store, std::span<const std::uint32_t>(answers));
+    } else {
+      // Exact uniform draws from H(V): global index g is snapshot slot g.
+      const std::size_t m = store.offsets().back();
+      const std::size_t k = m > 0 ? pulls : 0;
+      if (buf.answers.size() < k) buf.answers.resize(k);
+      for (std::size_t i = 0; i < k; ++i) {
+        buf.answers[i] = static_cast<std::uint32_t>(rng.below(m));
       }
-      shard::get_rng(d, rng);
-      ++attempts;
-      const bool ok = low_load_node_stage_a(
-          p, sampler, inputs.store(), inputs.round(), v, rng, buf,
-          response_bytes, sol, violators);
-      std::uint8_t flags = shard::nodeflag::kActive;
-      if (!ok) {
-        ++failures;
-      } else {
-        bool is_first_opt = false;
-        if (!found_snapshot && first_opt == kNoNodeId &&
-            p.same_value(sol, oracle)) {
-          first_opt = v;
-          is_first_opt = true;
-        }
-        const bool replay = !violators.empty() || run_termination;
-        if (replay) flags |= shard::nodeflag::kReplay;
-        // Ship the solution only where stage B can read it: termination
-        // injects (replay with no violators) and the round's first
-        // optimum (res.solution).
-        if ((replay && violators.empty()) || is_first_opt) {
-          flags |= shard::nodeflag::kSolution;
-        }
-      }
-      e.put_u8(flags);
-      shard::put_rng(e, rng);
-      if (flags & shard::nodeflag::kReplay) {
-        shard::put_seq(e, std::span<const Element>(violators));
-      }
-      if (flags & shard::nodeflag::kSolution) wire_put(e, sol);
+      answers = {buf.answers.data(), k};
+      response_bytes += k * sizeof(Element);
     }
-    e.put_u32(attempts);
-    e.put_u32(failures);
-    e.put_u32(first_opt);
-    e.put_u64(response_bytes);
-  };
-}
+    const SampleView<Element> view = select_distinct_answers(
+        store, answers, sampler.target, rng, sampler.strict, buf);
+    if (!view.success) return shard::nodeflag::kFailed;
+    // A full-size sample left the selection step in uniform random order,
+    // so the problem's pre-shuffled local solve applies; lenient short
+    // samples keep dedupe order and take the shuffling solve.
+    if constexpr (requires { p.solve_shuffled(view.sample); }) {
+      out.sol = view.randomized ? p.solve_shuffled(view.sample)
+                                : p.solve(view.sample);
+    } else {
+      out.sol = p.solve(view.sample);
+    }
+    // W_i: local violators (Algorithm 2 lines 5-6), pushed in stage B.
+    out.violators.clear();
+    for (const auto& h : store.view(v)) {
+      if (p.violates(out.sol, h)) out.violators.push_back(h);
+    }
+    const bool first = first_open && !found && p.same_value(out.sol, oracle);
+    const bool replay = !out.violators.empty() || run_termination;
+    std::uint8_t flags = 0;
+    if (replay) flags |= shard::nodeflag::kReplay;
+    if (first) flags |= shard::nodeflag::kFirst;
+    // Ship the solution only where stage B can read it: termination
+    // injects (replay with no violators) and the round's first optimum
+    // (res.solution).
+    if ((replay && out.violators.empty()) || first) {
+      flags |= shard::nodeflag::kSolution;
+    }
+    return flags;
+  }
 
-/// Bootstrap payload for workers that inherit nothing via fork (the socket
-/// transport; ShardHarness frames these bytes as MsgType::kBootstrap): the
-/// run-static instance state make_low_load_serve would otherwise capture at
-/// fork time — the termination flag, the sampler constants, the oracle
-/// solution.  The problem *type* is compile time (a remote worker binary
-/// instantiates the same template); problems whose instances carry no
-/// state (MinDisk) are therefore fully described by this payload.
-///
-/// Schema: u8 run_termination · u8 strict · u32 target · u32 log_n ·
-/// f64 c · oracle solution (wire_put).
-template <LpTypeProblem P>
-std::vector<std::uint8_t> low_load_bootstrap_payload(
-    const typename P::Solution& oracle, const SamplerConfig& sampler,
-    bool run_termination) {
-  gossip::Encoder e;
-  e.put_u8(run_termination ? 1 : 0);
-  e.put_u8(sampler.strict ? 1 : 0);
-  e.put_u32(static_cast<std::uint32_t>(sampler.target));
-  e.put_u32(static_cast<std::uint32_t>(sampler.log_n));
-  e.put_f64(sampler.c);
-  wire_put(e, oracle);
-  return e.bytes();
-}
+  // Task header: u8 found.  Node payload: if kReplay: violators seq; if
+  // kSolution: solution.
+  void put_round(gossip::Encoder& e) const { e.put_u8(found ? 1 : 0); }
+  void put_node(gossip::Encoder& e, std::uint8_t flags, const Node& n) const {
+    if (flags & shard::nodeflag::kReplay) {
+      shard::put_seq(e, std::span<const Element>(n.violators));
+    }
+    if (flags & shard::nodeflag::kSolution) wire_put(e, n.sol);
+  }
+  void get_node(gossip::Decoder& d, std::uint8_t flags, Node& n) const {
+    if (flags & shard::nodeflag::kReplay) shard::get_seq(d, n.violators);
+    if (flags & shard::nodeflag::kSolution) wire_get(d, n.sol);
+  }
 
-/// The matching serve factory: decodes one low_load_bootstrap_payload and
-/// builds the same handler make_low_load_serve would have built — run from
-/// bootstrap_worker_loop inside every socket worker (and every respawned
-/// replacement, which gets the bootstrap re-sent).
-template <LpTypeProblem P>
-auto make_low_load_bootstrap_factory(P p) {
-  return [p = std::move(p)](gossip::Decoder& d) {
-    const bool run_termination = d.get_u8() != 0;
+  /// A low-load shard worker's bootstrap payload: all of the run its
+  /// kernel reads besides the task frames (the problem *type* is compile
+  /// time).  Schema: u8 idealized · u8 run_termination · u8 strict ·
+  /// u32 target · u32 log_n · f64 c · oracle solution · problem instance.
+  struct Boot {
+    bool idealized;
+    bool run_termination;
     SamplerConfig sampler;
-    sampler.strict = d.get_u8() != 0;
-    sampler.target = d.get_u32();
-    sampler.log_n = d.get_u32();
-    sampler.c = d.get_f64();
-    typename P::Solution oracle;
-    wire_get(d, oracle);
-    return make_low_load_serve<P>(p, std::move(oracle), sampler,
-                                  run_termination);
+    Solution oracle;
+    P p;
+
+    void put(gossip::Encoder& e) const {
+      e.put_u8(idealized ? 1 : 0);
+      e.put_u8(run_termination ? 1 : 0);
+      e.put_u8(sampler.strict ? 1 : 0);
+      e.put_u32(static_cast<std::uint32_t>(sampler.target));
+      e.put_u32(static_cast<std::uint32_t>(sampler.log_n));
+      e.put_f64(sampler.c);
+      wire_put(e, oracle);
+      wire_put(e, p);
+    }
+
+    static Boot get(gossip::Decoder& d) {
+      const bool idealized = d.get_u8() != 0;
+      const bool run_termination = d.get_u8() != 0;
+      SamplerConfig sampler;
+      sampler.strict = d.get_u8() != 0;
+      sampler.target = d.get_u32();
+      sampler.log_n = d.get_u32();
+      sampler.c = d.get_f64();
+      Solution oracle;
+      wire_get(d, oracle);
+      return {idealized, run_termination, sampler, std::move(oracle),
+              wire_make(d, std::type_identity<P>{})};
+    }
+
+    /// This round's kernel, from a task frame's header.
+    LowLoadKernel kernel(gossip::Decoder& task) const {
+      return {p,         oracle,          sampler,
+              sampler.pulls_per_node(),   idealized,
+              run_termination, task.get_u8() != 0};
+    }
   };
-}
+};
 }  // namespace detail
 
 /// One run of the Low-Load Clarkson Algorithm on (p, h_set) over `n_nodes`
@@ -369,28 +327,7 @@ class LowLoadRun {
   DistributedLpResult<P> finish();
 
  private:
-  // Per-node round scratch for the compute stage (stage A).  Persistent
-  // across rounds so the steady state allocates nothing.
-  struct NodeRound {
-    Solution sol;
-    std::vector<Element> violators;
-  };
-  // Stage-A chunk accumulators: fixed contiguous chunks collect, each in
-  // ascending node order, the nodes whose stage-B replay has shared-state
-  // effects, plus sampler counters and the pull answers' wire bytes.
-  // Concatenated in chunk order they recover the exact node order of a
-  // full scan at O(candidates) cost, independent of the thread count (see
-  // util::parallel_chunks).  In the sharded run the chunks are the shards
-  // themselves (contiguous ascending ranges, applied in shard order — the
-  // same contract over the wire).
-  struct ChunkAcc {
-    std::vector<gossip::NodeId> replay;
-    std::uint32_t attempts = 0;
-    std::uint32_t failures = 0;
-    gossip::NodeId first_opt = detail::kNoNodeId;
-    std::uint64_t response_bytes = 0;
-  };
-  static constexpr bool kShardable = detail::ShardableLowLoad<P>;
+  using Kernel = detail::LowLoadKernel<P>;
 
   bool absent(gossip::NodeId v) const {
     return churn_on_ && !members_->present(v);
@@ -406,12 +343,8 @@ class LowLoadRun {
   std::vector<util::Rng> node_rng_;
   gossip::NodeStore<Element> store_;
   SamplerConfig sampler_;
-  std::size_t pulls_ = 0;
   double keep_p_ = 0.0;
   std::size_t max_rounds_ = 0;
-  bool sharded_ = false;
-  std::optional<shard::ShardHarness> harness_;
-  std::vector<gossip::NodeId> sleeping_scratch_;  // task-frame encode scratch
   gossip::PullChannel<Element> seed_chan_;  // Section 2.3 pull phase
   gossip::Mailbox<Element> copies_mail_;    // W_i pushes
   gossip::Mailbox<Element> seeds_mail_;     // (h, 0) pushes
@@ -422,14 +355,14 @@ class LowLoadRun {
   std::optional<ChurnState> members_;
   detail::ChurnCursor churn_cursor_;
   std::vector<Element> handoff_scratch_;
-  std::vector<NodeRound> scratch_;
-  shard::StoreSnapshot<Element> snapshot_;  // the round-start store, in-process
-  std::size_t chunk_ = 0;
-  std::vector<ChunkAcc> chunks_;
+  // Per-node stage-A output, persistent across rounds so the steady state
+  // allocates nothing.
+  std::vector<typename Kernel::Node> scratch_;
   bool found_ = false;
   std::size_t t_ = 0;  // rounds run so far
   bool done_ = false;
-  std::optional<util::ThreadPool> pool_;  // after everything its tasks touch
+  // Last: its shard workers or thread pool outlive nothing stage A reads.
+  std::optional<StageA<Kernel>> stage_a_;
 };
 
 template <LpTypeProblem P>
@@ -476,7 +409,6 @@ LowLoadRun<P>::LowLoadRun(const P& p, std::span<const Element> h_set,
   sampler_.c = cfg.sampler_c;
   sampler_.log_n = util::ceil_log2(n) + 1;
   sampler_.strict = cfg.strict_sampling;
-  pulls_ = sampler_.pulls_per_node();
   keep_p_ = 1.0 / (1.0 + 1.0 / (2.0 * static_cast<double>(d)));
 
   max_rounds_ =
@@ -487,32 +419,14 @@ LowLoadRun<P>::LowLoadRun(const P& p, std::span<const Element> h_set,
   // whole run (+1 covers the finish() flush of the last round).
   net_.meter().reserve_rounds(max_rounds_ + 1);
 
-  // Shard runtime (shard/runtime.hpp): when configured and the problem has
-  // wire codecs, stage A runs on shard workers over contiguous node ranges
-  // and stage B applies the per-shard candidate streams merged in shard
-  // order — bit-identical to the serial and parallel_nodes paths.  Workers
-  // spawn (PipeTransport: fork) here, before any thread pool exists.
-  sharded_ = kShardable && cfg.shard.enabled() &&
-             cfg.sampling == SamplingMode::kPullBased;
-  if constexpr (kShardable) {
-    if (sharded_) {
-      if (cfg.shard.transport == shard::TransportKind::kSocket) {
-        // Socket workers inherit nothing: the run-static state travels in
-        // a bootstrap frame and the serve handler is rebuilt from it
-        // inside the worker (and inside every respawned replacement).
-        // The fork-inheriting transports keep the closure path — their
-        // existing fault-script frame positions must not shift.
-        harness_.emplace(n, cfg.shard,
-                         detail::low_load_bootstrap_payload<P>(
-                             oracle_, sampler_, cfg.run_termination),
-                         detail::make_low_load_bootstrap_factory<P>(p));
-      } else {
-        harness_.emplace(n, cfg.shard,
-                         detail::make_low_load_serve<P>(p, oracle_, sampler_,
-                                                        cfg.run_termination));
-      }
-    }
-  }
+  // Stage A (core/stage_a.hpp) runs on shard workers when configured and
+  // the problem has wire codecs, else on cfg.parallel_nodes threads —
+  // bit-identical to the serial run either way.  Workers spawn here,
+  // before any thread pool exists.
+  stage_a_.emplace(n, cfg.parallel_nodes, cfg.shard, [&] {
+    return typename Kernel::Boot{cfg.sampling == SamplingMode::kIdealized,
+                                 cfg.run_termination, sampler_, oracle_, p};
+  });
 
   // Section 2.3: nodes with no original element start in the pull phase.
   // The phase membership is a compact *sorted* id list (plus a flag array
@@ -534,15 +448,7 @@ LowLoadRun<P>::LowLoadRun(const P& p, std::span<const Element> h_set,
 
   res_.stats.initial_total_elements = store_.total_elements();
   res_.stats.max_total_elements = res_.stats.initial_total_elements;
-
   scratch_.resize(n);
-  const bool parallel = !sharded_ && cfg.parallel_nodes > 1 &&
-                        cfg.sampling == SamplingMode::kPullBased;
-  if (parallel) pool_.emplace(cfg.parallel_nodes);
-  chunk_ = parallel ? std::max<std::size_t>(64, n / (cfg.parallel_nodes * 8))
-                    : n;
-  chunks_.resize(sharded_ ? harness_->frame_count()
-                          : util::chunk_count(n, chunk_));
 }
 
 template <LpTypeProblem P>
@@ -589,126 +495,22 @@ void LowLoadRun<P>::step() {
     return store_.elem(target, net_.rng().below(h0));
   });
 
-  // The round-start store that stage A reads, as one flat snapshot with
-  // dense ids: an O(n + |H(V)|) pass.  Shard workers decode their own from
-  // the task frame instead.
-  if (!sharded_) snapshot_.assign(store_);
-
-  // --- Per-node compute (stage A): the node's pulls (Algorithm 2 line 3
-  // via Section 2.1), sample selection, local solve, and violator scan.
-  // Touches only node_rng_[v] and the store, which stays read-only until
-  // delivery, so it fans out across threads when cfg.parallel_nodes asks
-  // for it; every shared-RNG side effect (mailbox pushes, termination
-  // traffic) is collected per chunk and replayed in stage B in node order,
-  // making parallel runs bit-identical to serial ones.
-  const bool found_snapshot = found_;
-  const PullRound pull_round = core::pull_round(net_);
-  auto stage_a = [&](std::size_t k, std::size_t begin, std::size_t end) {
-    obs::TraceSpan chunk_span("low_load.stage_a.chunk", k);
-    thread_local PullBuffer<Element> buf;
-    ChunkAcc& ch = chunks_[k];
-    ch.replay.clear();
-    ch.attempts = 0;
-    ch.failures = 0;
-    ch.first_opt = detail::kNoNodeId;
-    ch.response_bytes = 0;
-    for (std::size_t vi = begin; vi < end; ++vi) {
-      const auto v = static_cast<gossip::NodeId>(vi);
-      if (net_.asleep(v) || in_pull_phase_[v] || absent(v)) continue;
-      ++ch.attempts;
-      NodeRound& sc = scratch_[v];
-      bool ok;
-      if (cfg_.sampling == SamplingMode::kPullBased) {
-        ok = detail::low_load_node_stage_a(p_, sampler_, snapshot_,
-                                           pull_round, v, node_rng_[v], buf,
-                                           ch.response_bytes, sc.sol,
-                                           sc.violators);
-      } else {
-        // Exact uniform draws from H(V): global index g is snapshot slot g.
-        const std::size_t m = snapshot_.offsets()[n];
-        const std::size_t k = m > 0 ? pulls_ : 0;
-        if (buf.answers.size() < k) buf.answers.resize(k);
-        for (std::size_t k2 = 0; k2 < k; ++k2) {
-          net_.meter().add_pull(v, 0);
-          buf.answers[k2] = static_cast<std::uint32_t>(node_rng_[v].below(m));
-          net_.meter().add_response_bytes(sizeof(Element));
-        }
-        ok = detail::low_load_solve_sample(
-            p_, sampler_, snapshot_,
-            std::span<std::uint32_t>(buf.answers.data(), k), v, node_rng_[v],
-            buf, sc.sol, sc.violators);
-      }
-      if (!ok) {
-        ++ch.failures;
-        continue;
-      }
-      if (!found_snapshot && ch.first_opt == detail::kNoNodeId &&
-          p_.same_value(sc.sol, oracle_)) {
-        ch.first_opt = v;
-      }
-      if (!sc.violators.empty() || cfg_.run_termination) {
-        ch.replay.push_back(v);
-      }
-    }
-  };
-  bool ran_on_shards = false;
-  if constexpr (kShardable) {
-    if (sharded_) {
-      // Ship each shard, in bounded sub-frames, the round's read-only pull
-      // inputs once plus each node's flags and RNG state; the workers draw
-      // the pulls themselves.  Per-frame results land in frame-indexed
-      // ChunkAccs, which stage B walks in index order — shard-major
-      // contiguous ascending ranges, i.e. the serial full-scan node order.
-      harness_->round(
-          [&](shard::ShardRange r, gossip::Encoder& e) {
-            e.put_u8(found_snapshot ? 1 : 0);
-            e.put_u32(r.begin);
-            e.put_u32(r.end);
-            put_pull_inputs(e, net_, store_, sleeping_scratch_);
-            for (gossip::NodeId v = r.begin; v < r.end; ++v) {
-              const bool active =
-                  !net_.asleep(v) && !in_pull_phase_[v] && !absent(v);
-              e.put_u8(active ? shard::nodeflag::kActive : std::uint8_t{0});
-              if (active) shard::put_rng(e, node_rng_[v]);
-            }
-          },
-          [&](std::size_t frame, shard::ShardRange r, gossip::Decoder& dec) {
-            ChunkAcc& ch = chunks_[frame];
-            ch.replay.clear();
-            for (gossip::NodeId v = r.begin; v < r.end; ++v) {
-              const std::uint8_t flags = dec.get_u8();
-              if (flags & shard::nodeflag::kActive) {
-                shard::get_rng(dec, node_rng_[v]);
-              }
-              if (flags & shard::nodeflag::kReplay) {
-                shard::get_seq(dec, scratch_[v].violators);
-                ch.replay.push_back(v);
-              }
-              if (flags & shard::nodeflag::kSolution) {
-                wire_get(dec, scratch_[v].sol);
-              }
-            }
-            ch.attempts = dec.get_u32();
-            ch.failures = dec.get_u32();
-            ch.first_opt = dec.get_u32();
-            ch.response_bytes = dec.get_u64();
-          });
-      ran_on_shards = true;
-    }
-  }
-  if (!ran_on_shards) {
-    util::parallel_chunks(pool_ ? &*pool_ : nullptr, n, chunk_, stage_a);
-  }
-
-  // --- Meter the round's pulls on the coordinator: every active node
-  // issued pulls_ of them (the idealized sampler metered its own). ---
-  if (cfg_.sampling == SamplingMode::kPullBased) {
-    for (gossip::NodeId v = 0; v < n; ++v) {
-      if (!net_.asleep(v) && !in_pull_phase_[v] && !absent(v)) {
-        net_.meter().add_pulls(v, pulls_);
-      }
-    }
-  }
+  // --- Per-node compute (stage A, core/stage_a.hpp): the node's pulls
+  // (Algorithm 2 line 3 via Section 2.1), sample selection, local solve,
+  // and violator scan, against the round-start store.  It touches only
+  // node_rng_[v], so it fans out across threads or shard workers; every
+  // shared-RNG side effect (mailbox pushes, termination traffic) is
+  // collected per chunk and replayed in stage B in node order, making
+  // those runs bit-identical to serial ones.
+  stage_a_->run(
+      Kernel{p_, oracle_, sampler_, sampler_.pulls_per_node(),
+             cfg_.sampling == SamplingMode::kIdealized, cfg_.run_termination,
+             found_},
+      net_, store_,
+      [&](gossip::NodeId v) {
+        return !net_.asleep(v) && !in_pull_phase_[v] && !absent(v);
+      },
+      node_rng_, scratch_, res_.stats);
 
   // --- Shared-state replay (stage B): walk the pull-phase list and the
   // per-chunk candidate lists merged in ascending node order — the exact
@@ -733,15 +535,12 @@ void LowLoadRun<P>::step() {
     }
   };
   gossip::NodeId first_opt = detail::kNoNodeId;
-  for (const ChunkAcc& ch : chunks_) {
-    res_.stats.sampling_attempts += ch.attempts;
-    res_.stats.sampling_failures += ch.failures;
-    net_.meter().add_response_bytes(ch.response_bytes);
-    if (first_opt == detail::kNoNodeId) first_opt = ch.first_opt;
+  for (const ChunkAcc& ch : stage_a_->chunks()) {
+    if (first_opt == detail::kNoNodeId) first_opt = ch.first;
     for (const gossip::NodeId v : ch.replay) {
       replay_pull_below(v);
       ++bookkeeping;
-      const NodeRound& sc = scratch_[v];
+      const auto& sc = scratch_[v];
       for (const auto& h : sc.violators) copies_mail_.push(v, h);
       if (sc.violators.empty() && cfg_.run_termination) {
         term_.inject(v, static_cast<std::uint32_t>(t), sc.sol);
@@ -786,10 +585,7 @@ void LowLoadRun<P>::step() {
                 [&](gossip::NodeId v) { return store_.view(v); });
   }
 
-  const std::size_t m = store_.total_elements();
-  if (m > res_.stats.max_total_elements) res_.stats.max_total_elements = m;
-  res_.stats.bookkeeping_touches_total += bookkeeping;
-  res_.stats.last_round_bookkeeping_touches = bookkeeping;
+  res_.stats.end_round(store_.total_elements(), bookkeeping);
 
   const bool stop = cfg_.run_termination ? term_.all_output() : found_;
   if (stop && t >= cfg_.min_rounds) {
@@ -822,18 +618,8 @@ DistributedLpResult<P> LowLoadRun<P>::finish() {
     }
   }
 
-  if constexpr (kShardable) {
-    if (sharded_ && cfg_.shard.recovery_out != nullptr) {
-      *cfg_.shard.recovery_out = harness_->recovery_stats();
-    }
-  }
-
-  net_.meter().finish();
-  res_.stats.max_work_per_round = net_.meter().max_work_per_round();
-  res_.stats.total_push_ops = net_.meter().total_push_ops();
-  res_.stats.total_pull_ops = net_.meter().total_pull_ops();
-  res_.stats.total_bytes = net_.meter().total_bytes();
-  res_.stats.final_total_elements = store_.total_elements();
+  stage_a_->copy_recovery_stats(cfg_.shard.recovery_out);
+  res_.stats.finish(net_.meter(), store_.total_elements());
   obs::counter("engine.low_load.runs").add(1);
   obs::counter("engine.low_load.rounds").add(res_.stats.rounds_to_first);
   obs::gauge("engine.low_load.store_arena_bytes")

@@ -6,8 +6,11 @@
 // (Theorems 3-5), and total load |H(V)| (Lemmas 9 and 20).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+
+#include "gossip/metrics.hpp"
 
 namespace lpt::core {
 
@@ -49,6 +52,24 @@ struct DistributedRunStats {
   // bench reports for its steady state).
   std::uint64_t bookkeeping_touches_total = 0;
   std::size_t last_round_bookkeeping_touches = 0;
+
+  /// A gossip engine's round end: the load |H(V)| and bookkeeping touches.
+  void end_round(std::size_t total_elements, std::size_t bookkeeping) {
+    max_total_elements = std::max(max_total_elements, total_elements);
+    bookkeeping_touches_total += bookkeeping;
+    last_round_bookkeeping_touches = bookkeeping;
+  }
+
+  /// A gossip engine's run end: close `meter` (which folds its totals into
+  /// the obs registry), copy its totals, and record the final load.
+  void finish(gossip::WorkMeter& meter, std::size_t total_elements) {
+    meter.finish();
+    max_work_per_round = meter.max_work_per_round();
+    total_push_ops = meter.total_push_ops();
+    total_pull_ops = meter.total_pull_ops();
+    total_bytes = meter.total_bytes();
+    final_total_elements = total_elements;
+  }
 };
 
 }  // namespace lpt::core

@@ -214,56 +214,6 @@ std::uint64_t pull_response_bytes(const shard::StoreSnapshot<Element>& store,
   return bytes;
 }
 
-/// The shared part of a shard task frame: one round's pull inputs, encoded
-/// once per frame.  Schema: f64 response_loss · the sleeping nodes as a
-/// sorted u32 seq · shard::put_store_snapshot(store).  `sleeping` is
-/// scratch for the sort.  Kept out of line: inlined into a caller that has
-/// just written a fixed-size header, GCC 12 reports a false
-/// -Wstringop-overflow inside the encoder's vector growth.
-template <typename Store>
-[[gnu::noinline]] void put_pull_inputs(gossip::Encoder& e,
-                                       const gossip::Network& net,
-                                       const Store& store,
-                                       std::vector<gossip::NodeId>& sleeping) {
-  e.put_f64(net.faults().response_loss);
-  sleeping.assign(net.sleeping().begin(), net.sleeping().end());
-  std::sort(sleeping.begin(), sleeping.end());
-  shard::put_seq(e, std::span<const gossip::NodeId>(sleeping));
-  shard::put_store_snapshot(e, store);
-}
-
-/// A shard worker's decoded put_pull_inputs: the snapshot that answers the
-/// shard's pulls and the round they see.  Buffers keep their capacity.
-template <typename Element>
-class RemotePullInputs {
- public:
-  void decode(gossip::Decoder& d) {
-    round_.response_loss = d.get_f64();
-    shard::get_seq(d, sleeping_);
-    store_.decode(d);
-    const std::size_t n = store_.nodes();
-    asleep_.assign(n, 0);
-    for (const gossip::NodeId v : sleeping_) {
-      LPT_CHECK_MSG(v < n, "shard wire: sleeping node out of range");
-      asleep_[v] = 1;
-    }
-    round_.nodes = n;
-    round_.asleep = sleeping_.empty() ? std::span<const std::uint8_t>{}
-                                      : std::span<const std::uint8_t>(asleep_);
-  }
-
-  const shard::StoreSnapshot<Element>& store() const noexcept {
-    return store_;
-  }
-  const PullRound& round() const noexcept { return round_; }
-
- private:
-  shard::StoreSnapshot<Element> store_;
-  std::vector<gossip::NodeId> sleeping_;
-  std::vector<std::uint8_t> asleep_;
-  PullRound round_;
-};
-
 /// Outcome of one node's sampling attempt.
 template <typename Element>
 struct SampleOutcome {

@@ -1,7 +1,9 @@
 #include "problems/hitting_set_problem.hpp"
 
 #include <algorithm>
+#include <utility>
 
+#include "shard/wire.hpp"
 #include "util/assert.hpp"
 
 namespace lpt::problems {
@@ -21,6 +23,36 @@ SetSystem::SetSystem(std::size_t universe_size,
   for (const auto& lists : inverted_) {
     max_freq_ = std::max(max_freq_, lists.size());
   }
+}
+
+void wire_put(gossip::Encoder& e, const SetSystem& sys) {
+  e.put_u32(static_cast<std::uint32_t>(sys.universe_size()));
+  e.put_u32(static_cast<std::uint32_t>(sys.set_count()));
+  for (const auto& set : sys.sets()) {
+    shard::put_seq(e, std::span<const std::uint32_t>(set));
+  }
+}
+
+SetSystem wire_make(gossip::Decoder& d, std::type_identity<SetSystem>) {
+  const std::uint32_t universe = d.get_u32();
+  const std::uint32_t count = d.get_u32();
+  // Each set takes at least its length prefix: reject a corrupt count
+  // before allocating for it.
+  LPT_CHECK_MSG(count <= d.remaining() / sizeof(std::uint32_t),
+                "SetSystem wire: set count too large");
+  std::vector<std::vector<std::uint32_t>> sets(count);
+  for (auto& set : sets) shard::get_seq(d, set);
+  return SetSystem(universe, std::move(sets));
+}
+
+void wire_put(gossip::Encoder& e, const HittingSetProblem& p) {
+  wire_put(e, p.system());
+}
+
+HittingSetProblem wire_make(gossip::Decoder& d,
+                            std::type_identity<HittingSetProblem>) {
+  return HittingSetProblem(std::make_shared<const SetSystem>(
+      wire_make(d, std::type_identity<SetSystem>{})));
 }
 
 std::size_t HittingSetProblem::value_of(std::span<const Element> u) const {

@@ -7,14 +7,18 @@
 //
 // Per the paper's model, every node knows S (it is part of the problem
 // description, e.g. implicitly-defined geometric ranges), so the problem
-// object is shared by all node closures; only the *elements of X* are
-// distributed / gossiped.
+// object is shared by all nodes of a run, and a shard worker receives S once
+// in its bootstrap frame (the instance codecs below); only the *elements of
+// X* are distributed / gossiped.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
+
+#include "gossip/codec.hpp"
 
 namespace lpt::problems {
 
@@ -46,6 +50,12 @@ class SetSystem {
   std::vector<std::vector<std::uint32_t>> inverted_;
   std::size_t max_freq_ = 0;
 };
+
+/// Instance codec (shard::WirableInstance).  Schema: u32 universe size ·
+/// u32 set count · each set as a u32 seq.  Decoding runs the constructor,
+/// which rebuilds the inverted lists and the max frequency.
+void wire_put(gossip::Encoder& e, const SetSystem& sys);
+SetSystem wire_make(gossip::Decoder& d, std::type_identity<SetSystem>);
 
 class HittingSetProblem {
  public:
@@ -81,5 +91,10 @@ class HittingSetProblem {
  private:
   std::shared_ptr<const SetSystem> sys_;
 };
+
+/// Instance codec (shard::WirableInstance): the problem is its set system.
+void wire_put(gossip::Encoder& e, const HittingSetProblem& p);
+HittingSetProblem wire_make(gossip::Decoder& d,
+                            std::type_identity<HittingSetProblem>);
 
 }  // namespace lpt::problems

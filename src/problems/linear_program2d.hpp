@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "gossip/codec.hpp"
@@ -67,5 +68,19 @@ class LinearProgram2D {
  private:
   lp::Seidel2D solver_;
 };
+
+/// Instance codec (shard::WirableInstance): the objective and the bounding
+/// box, all a shard worker needs to rebuild the problem.  Schema: objective
+/// (Vec2) · f64 box.
+inline void wire_put(gossip::Encoder& e, const LinearProgram2D& p) {
+  e.put(p.solver().objective());
+  e.put_f64(p.solver().box());
+}
+
+inline LinearProgram2D wire_make(gossip::Decoder& d,
+                                 std::type_identity<LinearProgram2D>) {
+  const geom::Vec2 objective = d.get_vec2();
+  return LinearProgram2D(objective, d.get_f64());
+}
 
 }  // namespace lpt::problems

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "geometry/circle.hpp"
@@ -94,5 +95,12 @@ class MinDisk {
     return 1e-9 * (m + 1.0);
   }
 };
+
+/// Instance codec (shard::WirableInstance): a MinDisk carries no state, so
+/// a shard worker's bootstrap frame holds nothing for it.
+inline void wire_put(gossip::Encoder&, const MinDisk&) {}
+inline MinDisk wire_make(gossip::Decoder&, std::type_identity<MinDisk>) {
+  return {};
+}
 
 }  // namespace lpt::problems

@@ -11,8 +11,10 @@
 // frames sent to (ops on the send side) or the result frames received from
 // (ops on the recv side) that shard's lane since the run started, 0-based
 // and monotone across respawns — so "kill shard 2 after 5 frames" lands at
-// the same simulated-round boundary every run.  Each event fires exactly
-// once.
+// the same simulated-round boundary every run, on every transport.  The
+// bootstrap frame every (re)spawned worker receives and the shutdown frame
+// are not task frames: they neither advance the send counter nor fire an
+// event.  Each event fires exactly once.
 //
 // Ops and the detection path they exercise:
 //

@@ -57,32 +57,6 @@ const char* down_cause_name(DownCause cause) {
   return "unknown";
 }
 
-// --- Endpoint: the strict legacy wrapper. ---------------------------------
-
-std::vector<std::uint8_t> Endpoint::recv() {
-  RecvResult r = recv_frame(-1);
-  if (r.ok()) return std::move(r.frame);
-  switch (r.cause) {
-    case DownCause::kEof:
-      // Clean EOF at a frame boundary: the peer is gone.  Returned as an
-      // empty frame; worker_loop treats it as shutdown (a coordinator that
-      // died mid-run must not leave children aborting), while a coordinator
-      // expecting a result trips the result-type check loudly.
-      return {};
-    case DownCause::kOversized:
-      LPT_CHECK_MSG(false,
-                    "shard frame length prefix exceeds kMaxFrameBytes");
-      break;
-    case DownCause::kTruncated:
-      LPT_CHECK_MSG(false, "shard stream truncated mid-frame");
-      break;
-    default:
-      LPT_CHECK_MSG(false, "shard stream failed");
-      break;
-  }
-  return {};
-}
-
 namespace detail {
 
 void FrameQueue::push(std::vector<std::uint8_t> frame) {
@@ -396,8 +370,8 @@ RecvResult SocketEndpoint::recv_frame(int timeout_ms) {
 ProcessTransport::~ProcessTransport() { teardown(); }
 
 void ProcessTransport::teardown() {
-  // Endpoints close first: a child blocked in recv() sees EOF and exits if
-  // the shutdown frame never made it.
+  // Endpoints close first: a child blocked in recv_frame sees EOF and exits
+  // if the shutdown frame never made it.
   for (WorkerSlot& w : workers_) w.ep.reset();
   join();
 }
@@ -626,8 +600,13 @@ class FaultyTransport::FaultyEndpoint final : public Endpoint {
       : owner_(owner), shard_(shard) {}
 
   bool send(std::span<const std::uint8_t> payload) override {
-    FaultEvent* ev = owner_->match(shard_, /*send_side=*/true, sends_);
-    ++sends_;
+    // Scripts count task frames only: a bootstrap or shutdown send neither
+    // advances the counter nor fires an event.
+    const bool task =
+        !payload.empty() &&
+        payload[0] == static_cast<std::uint8_t>(MsgType::kStageATask);
+    FaultEvent* ev =
+        task ? owner_->match(shard_, /*send_side=*/true, sends_++) : nullptr;
     const bool ok = owner_->inner_->endpoint(shard_).send(payload);
     if (ev != nullptr) {
       // kKillWorker: the task frame is on the wire (or lost to EPIPE);
@@ -677,8 +656,8 @@ class FaultyTransport::FaultyEndpoint final : public Endpoint {
  private:
   FaultyTransport* owner_;
   std::size_t shard_;
-  std::size_t sends_ = 0;  // monotone across respawns: at_frame is a
-  std::size_t recvs_ = 0;  // run-global per-lane position, not per-worker
+  std::size_t sends_ = 0;  // task frames; monotone across respawns: at_frame
+  std::size_t recvs_ = 0;  // is a run-global per-lane position, not per-worker
 };
 
 FaultyTransport::FaultyTransport(std::unique_ptr<Transport> inner,

@@ -3,12 +3,17 @@
 //
 // ## What is sharded, and why it stays bit-identical
 //
-// The engines (core/low_load.hpp, core/hitting_set.hpp) already execute one
-// simulated round as stage A (embarrassingly parallel per-node compute on
-// private RNG streams) followed by stage B (every shared-state side effect,
-// replayed serially in ascending node order).  The shard runtime moves
-// stage A into per-shard workers:
+// The sampling engines (core/low_load.hpp, core/hitting_set.hpp) execute
+// one simulated round as stage A (embarrassingly parallel per-node compute
+// on private RNG streams) followed by stage B (every shared-state side
+// effect, replayed serially in ascending node order).  The shard runtime
+// moves stage A into per-shard workers (core/stage_a.hpp is the engines'
+// side of it):
 //
+//   0. every worker, on every transport, starts from a bootstrap frame: the
+//      run-static problem description (the problem instance and the
+//      engine's constants), re-sent to every respawned replacement — so no
+//      worker depends on memory inherited at fork time;
 //   1. the coordinator owns the whole simulation state (network, store,
 //      channels) and remains the only writer of shared state;
 //   2. per round it ships each worker a stage-A task frame with the
@@ -27,7 +32,7 @@
 //
 // Solutions, round counts, and every DistributedRunStats counter are
 // therefore bit-identical to the serial and parallel_nodes paths for any
-// shard count and either transport; tests/test_shard.cpp pins this.
+// shard count and every transport; tests/test_shard.cpp pins this.
 //
 // ## Failure model (why recovery preserves bit-identity)
 //
@@ -182,18 +187,19 @@ struct ShardConfig {
   bool enabled() const noexcept { return shards >= 1; }
 };
 
-/// Generic worker serve loop: block for frames, dispatch task frames to
+/// Worker serve loop: block for frames, dispatch task frames to
 /// `serve(decoder, encoder)`, stop on the shutdown frame.  `serve` decodes
 /// one task payload (message type already consumed) and encodes the
-/// complete result payload including its leading message type.  A failed
-/// send means the coordinator is gone (or has given up on this worker):
-/// exit quietly — the coordinator's recovery owns the narrative.
+/// complete result payload including its leading message type.  A stream
+/// that goes down (any DownCause) or a failed send means the coordinator is
+/// gone, or has given up on this worker: exit quietly — the coordinator's
+/// recovery owns the narrative.
 template <typename Serve>
 void worker_loop(Endpoint& ep, Serve&& serve) {
   for (;;) {
-    const std::vector<std::uint8_t> frame = ep.recv();
-    if (frame.empty()) return;  // peer gone (EOF): treat as shutdown
-    gossip::Decoder d(frame);
+    const RecvResult r = ep.recv_frame(-1);
+    if (!r.ok()) return;
+    gossip::Decoder d(r.frame);
     const MsgType type = get_msg_type(d);
     if (type == MsgType::kShutdown) return;
     LPT_CHECK_MSG(type == MsgType::kStageATask,
@@ -205,18 +211,17 @@ void worker_loop(Endpoint& ep, Serve&& serve) {
   }
 }
 
-/// Worker loop for workers that inherit nothing via fork (the socket
-/// transport's; any remotely launched worker).  The first frame must be a
-/// kBootstrap carrying the run-static problem description;
-/// `make_serve(decoder)` decodes it and builds the stage-A serve handler,
-/// then the normal worker_loop runs.  A respawned replacement runs this
-/// loop again from the top — the coordinator re-sends the bootstrap to
-/// every fresh worker, so serve state is rebuilt entirely from the wire.
+/// The body of every worker: the first frame must be a kBootstrap carrying
+/// the run-static problem description; `make_serve(decoder)` decodes it and
+/// builds the stage-A serve handler, then worker_loop runs.  A respawned
+/// replacement runs this loop again from the top — the coordinator re-sends
+/// the bootstrap to every fresh worker, so worker state is built entirely
+/// from the wire, whatever the transport.
 template <typename MakeServe>
 void bootstrap_worker_loop(Endpoint& ep, MakeServe&& make_serve) {
-  const std::vector<std::uint8_t> frame = ep.recv();
-  if (frame.empty()) return;  // coordinator gone before the bootstrap
-  gossip::Decoder d(frame);
+  const RecvResult r = ep.recv_frame(-1);
+  if (!r.ok()) return;  // coordinator gone before the bootstrap
+  gossip::Decoder d(r.frame);
   LPT_CHECK_MSG(get_msg_type(d) == MsgType::kBootstrap,
                 "shard worker: expected a bootstrap frame first");
   auto serve = make_serve(d);
@@ -236,35 +241,13 @@ void bootstrap_worker_loop(Endpoint& ep, MakeServe&& make_serve) {
 /// exactly the ascending node order of a serial full scan.
 class ShardHarness {
  public:
-  /// Spawns cfg.shards workers running worker_loop(endpoint, serve) —
-  /// `serve` is the engine's stage-A handler and must capture only state
-  /// that is (a) immutable for the whole run and (b) meaningful in a
-  /// forked child (the static problem description, sampler constants).
-  /// For PipeTransport the fork happens here, before the engine's round
-  /// loop allocates anything thread-related.  Respawned replacements get a
-  /// fresh copy of the same closure: serve state is rebuilt from frames.
-  template <typename Serve>
-  ShardHarness(std::size_t n, const ShardConfig& cfg, Serve serve)
-      : plan_(n, std::min(cfg.shards, n)),
-        assignment_(plan_.shard_count()),
-        recovery_(cfg.recovery) {
-    init(cfg, n,
-         // mutable: serve handlers own per-worker scratch (each spawned
-         // worker gets its own copy of this closure, so no sharing).
-         [serve = std::move(serve)](std::size_t, Endpoint& ep) mutable {
-           worker_loop(ep, serve);
-         });
-  }
-
-  /// Bootstrap-over-wire variant (socket transport; any worker that cannot
-  /// inherit the problem via fork): `bootstrap_payload` is the engine's
-  /// run-static problem description (schema opaque to the runtime) and
-  /// `make_serve(decoder)` rebuilds the stage-A serve handler from it
-  /// inside the worker.  The harness frames the payload as kBootstrap and
-  /// ships it to every freshly spawned — and every respawned — worker
-  /// before its first task, so worker state is built entirely from the
-  /// wire.  Works on any transport; the fork-inheriting constructor above
-  /// stays the default where fork inheritance is available.
+  /// Spawns cfg.shards workers running bootstrap_worker_loop(ep,
+  /// make_serve) and ships each — and every respawned replacement — the
+  /// kBootstrap frame of `bootstrap_payload`, the engine's run-static
+  /// problem description (schema opaque to the runtime).  `make_serve`
+  /// rebuilds the serve handler from it and should capture nothing: no
+  /// worker inherits engine state, on any transport.  The process
+  /// transports fork here, before the engine's round loop starts.
   template <typename MakeServe>
   ShardHarness(std::size_t n, const ShardConfig& cfg,
                std::vector<std::uint8_t> bootstrap_payload,
@@ -272,19 +255,34 @@ class ShardHarness {
       : plan_(n, std::min(cfg.shards, n)),
         assignment_(plan_.shard_count()),
         recovery_(cfg.recovery) {
-    // Byte loop, not a range insert: GCC 12's -Wstringop-overread false-
-    // fires on inserting a possibly-empty vector range after push_back.
-    bootstrap_frame_.reserve(1 + bootstrap_payload.size());
-    bootstrap_frame_.push_back(
-        static_cast<std::uint8_t>(MsgType::kBootstrap));
-    for (const std::uint8_t b : bootstrap_payload) {
-      bootstrap_frame_.push_back(b);
+    bootstrap_frame_ = std::move(bootstrap_payload);
+    bootstrap_frame_.insert(bootstrap_frame_.begin(),
+                            static_cast<std::uint8_t>(MsgType::kBootstrap));
+    const std::size_t limit = cfg.max_frame_nodes ? cfg.max_frame_nodes : n;
+    for (std::size_t s = 0; s < plan_.shard_count(); ++s) {
+      const ShardRange r = plan_.range(s);
+      frame_offset_.push_back(frames_.size());
+      for (gossip::NodeId b = r.begin; b < r.end;
+           b = static_cast<gossip::NodeId>(
+               std::min<std::size_t>(b + limit, r.end))) {
+        frames_.push_back(
+            {b, static_cast<gossip::NodeId>(
+                    std::min<std::size_t>(b + limit, r.end))});
+      }
     }
-    init(cfg, n,
-         [make_serve = std::move(make_serve)](std::size_t,
-                                              Endpoint& ep) mutable {
-           bootstrap_worker_loop(ep, make_serve);
-         });
+    task_bytes_.resize(frames_.size());
+    lanes_.resize(plan_.shard_count());
+    respawns_.assign(plan_.shard_count(), 0);
+    transport_ = make_transport(cfg.transport);
+    if (!cfg.fault_script.empty()) {
+      transport_ = std::make_unique<FaultyTransport>(std::move(transport_),
+                                                     cfg.fault_script);
+    }
+    transport_->spawn(plan_.shard_count(),
+                      [make_serve = std::move(make_serve)](
+                          std::size_t, Endpoint& ep) mutable {
+                        bootstrap_worker_loop(ep, make_serve);
+                      });
     for (std::size_t s = 0; s < plan_.shard_count(); ++s) send_bootstrap(s);
   }
 
@@ -313,23 +311,13 @@ class ShardHarness {
   ShardHarness(const ShardHarness&) = delete;
   ShardHarness& operator=(const ShardHarness&) = delete;
 
-  const ShardPlan& plan() const noexcept { return plan_; }
-
   /// Total sub-frames per round; engines size their per-frame accumulator
-  /// vectors to this (frame i covers frame_range(i), shard-major, so
-  /// accumulators walked in index order recover ascending node order).
+  /// vectors to this (frames are shard-major, so accumulators walked in
+  /// index order recover ascending node order).
   std::size_t frame_count() const noexcept { return frames_.size(); }
-  ShardRange frame_range(std::size_t frame) const noexcept {
-    return frames_[frame];
-  }
 
   const ShardRecoveryStats& recovery_stats() const noexcept {
     return rstats_;
-  }
-
-  /// How `shard`'s current worker ended (kRunning while alive).
-  WorkerExit worker_exit(std::size_t shard) { //
-    return transport_->exit_status(shard);
   }
 
   /// Fault-injection hook: SIGKILL a real worker (lane-close for threads)
@@ -441,40 +429,12 @@ class ShardHarness {
  private:
   static constexpr std::size_t kNoFrame = static_cast<std::size_t>(-1);
 
-  /// Shared constructor body: sub-frame layout, lane state, transport
-  /// creation (with the fault-script wrap), worker spawn.
-  void init(const ShardConfig& cfg, std::size_t n, WorkerFn fn) {
-    const std::size_t limit =
-        cfg.max_frame_nodes ? cfg.max_frame_nodes : n;
-    for (std::size_t s = 0; s < plan_.shard_count(); ++s) {
-      const ShardRange r = plan_.range(s);
-      frame_offset_.push_back(frames_.size());
-      for (gossip::NodeId b = r.begin; b < r.end;
-           b = static_cast<gossip::NodeId>(
-               std::min<std::size_t>(b + limit, r.end))) {
-        frames_.push_back(
-            {b, static_cast<gossip::NodeId>(
-                    std::min<std::size_t>(b + limit, r.end))});
-      }
-    }
-    task_bytes_.resize(frames_.size());
-    lanes_.resize(plan_.shard_count());
-    respawns_.assign(plan_.shard_count(), 0);
-    transport_ = make_transport(cfg.transport);
-    if (!cfg.fault_script.empty()) {
-      transport_ = std::make_unique<FaultyTransport>(std::move(transport_),
-                                                     cfg.fault_script);
-    }
-    transport_->spawn(plan_.shard_count(), std::move(fn));
-  }
-
-  /// Ship the bootstrap frame (if this harness has one) to shard s's fresh
-  /// worker.  A failed send means the worker is already gone; that is
-  /// deliberately ignored — the next task send discovers the death through
-  /// the normal recovery path (reporting it from here would recurse into
-  /// on_worker_down mid-recovery).
+  /// Ship the bootstrap frame to shard s's fresh worker.  A failed send
+  /// means the worker is already gone; that is deliberately ignored — the
+  /// next task send discovers the death through the normal recovery path
+  /// (reporting it from here would recurse into on_worker_down
+  /// mid-recovery).
   void send_bootstrap(std::size_t s) {
-    if (bootstrap_frame_.empty()) return;
     if (transport_->endpoint(s).send(bootstrap_frame_)) {
       bytes_bootstrap_.add(bootstrap_frame_.size());
     }
@@ -603,9 +563,8 @@ class ShardHarness {
   // never mutates coordinator state, so these bytes — which embed the
   // per-node RNG snapshots — replay bit-identically on any worker.
   std::vector<std::vector<std::uint8_t>> task_bytes_;
-  // Framed kBootstrap message (type byte + engine payload); empty for
-  // fork-inheriting harnesses.  Run-static, so one buffer serves every
-  // spawn and respawn of every shard.
+  // Framed kBootstrap message (type byte + engine payload).  Run-static,
+  // so one buffer serves every spawn and respawn of every shard.
   std::vector<std::uint8_t> bootstrap_frame_;
   std::unique_ptr<Transport> transport_;
   // Wire bytes per message type (payloads, type byte included, length

@@ -17,25 +17,23 @@
 //     shortcut.
 //
 //   * PipeTransport — workers are fork()ed child processes; frames travel
-//     through pipe(2) pairs.  The child inherits the engine's static
-//     problem description (the paper's "every node knows the problem"
-//     standing assumption) at fork time, sweeps every inherited fd except
-//     its own pipe ends (/proc/self/fd — concurrent harnesses on a bench
-//     thread pool interleave pipe()/fork() freely), and from then on
-//     communicates only via frames.  The runtime spawns workers before the
-//     engine's round loop starts, so an engine run never forks with its
-//     own pool live; forking from a bench-level repetition pool relies on
-//     glibc's malloc atfork handlers (works in practice, and each child
-//     touches only its closure state).
+//     through pipe(2) pairs.  A child sweeps every inherited fd except its
+//     own pipe ends (/proc/self/fd — concurrent harnesses on a bench thread
+//     pool interleave pipe()/fork() freely) and from then on communicates
+//     only via frames: like every worker it builds its state from the
+//     bootstrap frame (shard/runtime.hpp), not from memory inherited at
+//     fork time.  The runtime spawns workers before the engine's round
+//     loop starts, so an engine run never forks with its own pool live;
+//     forking from a bench-level repetition pool relies on glibc's malloc
+//     atfork handlers (works in practice, and each child touches only its
+//     own frames).
 //
 //   * SocketTransport — the coordinator listens on an ephemeral loopback
 //     TCP port and every worker *connects* to it: the exact topology of a
 //     multi-machine run, rehearsed on one box.  Workers are still fork()ed
 //     locally (the container's stand-in for "launch a process on another
-//     machine"), but they inherit NOTHING the protocol needs: after the fd
-//     sweep a socket worker owns only its connected stream, and the
-//     problem description reaches it through the kBootstrap wire message
-//     (shard/wire.hpp) — so the same worker body could be exec'd or
+//     machine"), but after the fd sweep a socket worker owns only its
+//     connected stream — so the same worker body could be exec'd or
 //     launched remotely.  A respawn accepts a brand-new connection
 //     (respawn-over-reconnect): the coordinator never tries to resurrect a
 //     broken stream.
@@ -56,11 +54,11 @@
 //   * kill_worker() / respawn() let the coordinator put down a hung or
 //     corrupt worker and start a replacement running the same WorkerFn.
 //
-// The legacy blocking Endpoint::recv() keeps its loud LPT_CHECK semantics
-// (a caller that asked for no failure handling must not limp on); the
-// recovery-aware ShardHarness uses recv_frame and handles the rest.  The
-// transport records which workers the harness *expects* to be down
-// (expect_down), so teardown still aborts loudly on deaths nobody handled.
+// Both sides read through recv_frame: the harness handles each down cause
+// by its recovery policy, and a worker loop ends on any of them, as it ends
+// on its shutdown frame.  The transport records which workers the harness
+// *expects* to be down (expect_down), so teardown still aborts loudly on
+// deaths nobody handled.
 #pragma once
 
 #include <chrono>
@@ -123,22 +121,17 @@ struct WorkerExit {
 /// gone (EPIPE / closed lane) — any other I/O error still aborts loudly.
 /// recv_frame() blocks up to timeout_ms (-1: forever) for the next frame
 /// and reports malformed input (length prefix past kMaxFrameBytes, or a
-/// stream truncated mid-frame) as a structured down-cause.  recv() is the
-/// legacy strict wrapper: it blocks forever, maps clean EOF to an empty
-/// frame, and LPT_CHECK-aborts on malformed input — for callers with no
-/// recovery path, a corrupt stream must not keep simulating.
+/// stream truncated mid-frame) as a structured down-cause.
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
   virtual bool send(std::span<const std::uint8_t> payload) = 0;
   virtual RecvResult recv_frame(int timeout_ms) = 0;
-
-  std::vector<std::uint8_t> recv();
 };
 
 /// A worker body: runs the per-shard serve loop until shutdown.  Invoked
 /// once per shard with that shard's index and endpoint (and again for each
-/// respawned replacement worker, which starts from a clean slate — serve
+/// respawned replacement worker, which starts from a clean slate — its
 /// state is rebuilt from the frames themselves).
 using WorkerFn = std::function<void(std::size_t shard, Endpoint& ep)>;
 
@@ -333,9 +326,9 @@ class ProcessTransport : public Transport {
   virtual void start_worker(std::size_t shard) = 0;
 
   /// Close the coordinator-side streams, then join.  Closing first means a
-  /// child blocked in recv() sees EOF and exits even if the shutdown frame
-  /// never made it.  Idempotent — derived destructors call it so children
-  /// are gone before derived members (e.g. a listening socket) die.
+  /// child blocked in recv_frame sees EOF and exits even if the shutdown
+  /// frame never made it.  Idempotent — derived destructors call it so
+  /// children are gone before derived members (e.g. a listening socket) die.
   void teardown();
 
   void reap(std::size_t shard, bool block);

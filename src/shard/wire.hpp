@@ -1,22 +1,21 @@
 // Wire messages for the shard runtime, framed with the gossip codec.
 //
 // The coordinator/worker protocol is a strict request/response lockstep per
-// simulated round: the coordinator sends each worker one stage-A *task*
-// frame carrying the round's read-only pull inputs (a snapshot of every
-// node's store, the sleeping nodes, the response-loss rate) once, then per
-// node of the worker's shard only its flags and private RNG state — the
-// worker draws each node's pulls from that stream against the snapshot
-// (core/sampling.hpp) — and the worker answers with one stage-A *result*
-// frame carrying the shard's ascending-node-order stage-B candidate list,
-// sampler counters and response bytes, per-node violator/push payloads,
-// solutions where stage B will need them, and the advanced per-node RNG
-// states (the coordinator's filter pass and the next round's stage A
-// continue those streams, so they must round-trip exactly).  A shutdown
-// frame ends the worker loop.  Workers that inherit nothing via fork (the
-// socket transport's, or any remotely launched worker) are sent a
-// *bootstrap* frame before their first task: the run-static problem
-// description (problem elements, oracle solution, sampler constants),
-// re-sent to every respawned replacement.
+// simulated round.  Every worker first receives a *bootstrap* frame: the
+// run-static problem description (the problem instance, the engine's
+// constants), re-sent to every respawned replacement, so no worker relies
+// on state inherited at fork time.  Then per round the coordinator sends
+// each worker one stage-A *task* frame carrying the round's read-only pull
+// inputs (a snapshot of every node's store, the sleeping nodes, the
+// response-loss rate) once, then per node of the worker's shard only its
+// flags and private RNG state — the worker draws each node's pulls from
+// that stream against the snapshot (core/sampling.hpp) — and the worker
+// answers with one stage-A *result* frame carrying per node its flags, its
+// advanced RNG state (the coordinator's filter pass and the next round's
+// stage A continue those streams, so they must round-trip exactly) and the
+// engine's payload, then the shard's response bytes.  A shutdown frame
+// ends the worker loop.  core/stage_a.hpp owns the task and result layout
+// for every engine.
 //
 // Framing: every frame is a u32 little-endian payload length followed by
 // the payload; the payload's first byte is the MsgType.  Length prefixes
@@ -26,7 +25,8 @@
 // Element and solution payloads go through the `wire_put` / `wire_get`
 // customization point (ADL): overloads for the built-in gossiped element
 // types live here; problem-specific solution overloads live next to the
-// problem type (e.g. MinDiskSolution in problems/min_disk.hpp).  Sequences
+// problem type (e.g. MinDiskSolution in problems/min_disk.hpp), as do the
+// problem instances' bootstrap codecs (WirableInstance below).  Sequences
 // are u32-length-prefixed directly rather than via Encoder::put_sequence —
 // a node's local multiset is bounded by the simulation, not by the gossip
 // model's O(log n)-bit message limit, so the codec's 2^16 sequence guard
@@ -35,9 +35,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "geometry/vec2.hpp"
@@ -55,10 +57,9 @@ enum class MsgType : std::uint8_t {
   kStageATask = 1,
   kStageAResult = 2,
   kShutdown = 3,
-  kBootstrap = 4,  // the run-static problem description, shipped to a
-                   // worker before its first task so a worker need not
-                   // inherit anything via fork (socket workers; any
-                   // remotely launched worker).  Sent once after spawn and
+  kBootstrap = 4,  // the run-static problem description, shipped to
+                   // every worker before its first task, so no worker
+                   // inherits anything via fork.  Sent once after spawn and
                    // again after every respawn; the payload schema is the
                    // engine's (see e.g. core/low_load.hpp bootstrap codec),
                    // opaque to the runtime.
@@ -122,6 +123,18 @@ concept Wirable = requires(gossip::Encoder& e, gossip::Decoder& d, const T& cv,
                            T& v) {
   wire_put(e, cv);
   wire_get(d, v);
+};
+
+/// A problem instance travels in a shard worker's bootstrap frame when an
+/// instance codec is visible (via ADL, next to the type): wire_put(e, p)
+/// writes it and wire_make(d, std::type_identity<P>{}) builds an equal one
+/// (problems need not be default-constructible).  Like Wirable, it gates
+/// the sharded path at compile time.
+template <typename P>
+concept WirableInstance = requires(gossip::Encoder& e, gossip::Decoder& d,
+                                   const P& p) {
+  wire_put(e, p);
+  { wire_make(d, std::type_identity<P>{}) } -> std::same_as<P>;
 };
 
 /// Encoded bytes of one wire element.  Exact for the fixed-size built-in
@@ -327,18 +340,19 @@ inline void get_rng(gossip::Decoder& d, util::Rng& rng) {
   rng.set_state(s);
 }
 
-// --- Per-node stage-A framing shared by the engines. ---------------------
+// --- Per-node stage-A flags shared by the engines. ------------------------
 //
 // Task frames and result frames both walk the shard's node range in
-// ascending order with one flag byte per node; the flag bits say which
-// optional fields follow.  Keeping the schema in one place (rather than
-// per-engine ad hoc framing) is what the codec round-trip tests pin.
+// ascending order with one flag byte per node (core/stage_a.hpp); the flag
+// bits say what the node did and which optional fields follow.
 
 namespace nodeflag {
 inline constexpr std::uint8_t kActive = 1u << 0;   // node runs stage A
 inline constexpr std::uint8_t kReplay = 1u << 1;   // node needs stage-B replay
 inline constexpr std::uint8_t kSolution = 1u << 2; // a solution payload follows
 inline constexpr std::uint8_t kWinner = 1u << 3;   // hitting set: R_i wins
+inline constexpr std::uint8_t kFailed = 1u << 4;   // the node's sample failed
+inline constexpr std::uint8_t kFirst = 1u << 5;    // low load: first optimum
 }  // namespace nodeflag
 
 }  // namespace lpt::shard

@@ -283,7 +283,9 @@ void run_harness_rounds_with_kill(TransportKind kind) {
   cfg.shards = 4;
   cfg.transport = kind;
   cfg.max_frame_nodes = 8;  // 2 sub-frames per shard per round
-  shard::ShardHarness h(n, cfg, triple_serve);
+  // An empty bootstrap payload: the serve handler needs no run state.
+  shard::ShardHarness h(n, cfg, {},
+                        [](gossip::Decoder&) { return &triple_serve; });
   for (int round = 0; round < 3; ++round) {
     if (round == 1) h.kill_worker(2);  // real SIGKILL between rounds
     std::vector<std::uint32_t> out(n, 0);
@@ -322,8 +324,8 @@ TEST(ShardHarnessRecovery, KillHookRecoversInProc) {
 
 TEST(ShardHarnessRecovery, KillHookRecoversOverSocket) {
   // Respawn-over-reconnect: the replacement worker dials a brand-new
-  // loopback connection and is re-sent nothing here (closure ctor), yet
-  // the rounds after the kill still produce identical output.
+  // loopback connection and is re-sent the bootstrap frame, and the rounds
+  // after the kill still produce identical output.
   run_harness_rounds_with_kill(TransportKind::kSocket);
 }
 
@@ -364,16 +366,37 @@ std::string transport_name(TransportKind t) {
   return "?";
 }
 
-// Every fault script below runs over all three transports.  Over kSocket
-// the low-load engine bootstraps its workers over the wire, so the
-// FaultyTransport *send* counter on each lane is shifted by one per
-// (re)spawn relative to inproc/pipe (the bootstrap frame is send #0); the
-// kill schedules here stay valid because each scripted death is still
-// detected structurally before the next one fires — only the wall-clock
-// position of the kill inside round 1 moves, never the recovery outcome.
+// Every fault script below runs over all three transports.
 const TransportKind kTransports[] = {TransportKind::kInProc,
                                      TransportKind::kPipe,
                                      TransportKind::kSocket};
+
+TEST(ShardFaultScript, CountsTaskFramesOnlyOnEveryTransport) {
+  // at_frame counts task frames: the bootstrap send every worker gets
+  // first does not use up at_frame 0, and the first task send does.  A
+  // kill reaps synchronously, so the exit status reads right after it.
+  for (const auto kind : kTransports) {
+    const std::string what = transport_name(kind);
+    shard::FaultyTransport t(shard::make_transport(kind),
+                             {{0, FaultOp::kKillWorker, 0}});
+    t.spawn(1, [](std::size_t, shard::Endpoint& ep) {
+      shard::bootstrap_worker_loop(
+          ep, [](gossip::Decoder&) { return &echo_serve; });
+    });
+    gossip::Encoder boot;
+    shard::put_msg_type(boot, shard::MsgType::kBootstrap);
+    EXPECT_TRUE(t.endpoint(0).send(boot.bytes())) << what;
+    EXPECT_EQ(t.exit_status(0).kind, WorkerExit::Kind::kRunning) << what;
+    gossip::Encoder task;
+    shard::put_msg_type(task, shard::MsgType::kStageATask);
+    task.put_u8(1);
+    (void)t.endpoint(0).send(task.bytes());  // at_frame 0: the kill fires
+    const WorkerExit ex = t.exit_status(0);
+    EXPECT_EQ(ex.kind, WorkerExit::Kind::kSignaled) << what;
+    EXPECT_EQ(ex.value, SIGKILL) << what;
+    t.join();  // the scripted kill is an expected death
+  }
+}
 
 /// Run low-load with the given faults and compare bit-for-bit against the
 /// fault-free serial run (same seed, same dataset).

@@ -1,11 +1,11 @@
 // Socket-transport-specific tests: the failure modes a TCP stream adds on
 // top of the pipe surface (a peer that connects and then vanishes, a
 // half-open stream truncating mid-frame, reconnect-after-kill delivering a
-// brand-new stream) and the bootstrap-over-the-wire path that replaces
-// fork inheritance for socket workers — payload round-trip through the
-// serve factory, bootstrap_worker_loop over a real stream fd, and the
-// service layer answering a distributed query over loopback TCP
-// bit-identically to the serial engine.
+// brand-new stream) and the bootstrap-over-the-wire path every worker
+// starts from — a serve handler built from the bootstrap payload alone
+// answering like the in-process node loop, bootstrap_worker_loop over a
+// real stream fd, and the service layer answering a distributed query over
+// loopback TCP bit-identically to the serial engine.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -20,12 +20,15 @@
 
 #include "core/low_load.hpp"
 #include "core/result.hpp"
+#include "core/stage_a.hpp"
+#include "gossip/network.hpp"
 #include "problems/min_disk.hpp"
 #include "service/service.hpp"
 #include "shard/runtime.hpp"
 #include "shard/transport.hpp"
 #include "shard/wire.hpp"
 #include "support/test_support.hpp"
+#include "util/rng.hpp"
 #include "workloads/disk_data.hpp"
 
 namespace lpt {
@@ -197,51 +200,110 @@ TEST(SocketTransport, RespawnAcceptsAFreshConnectionAfterKill) {
 }
 
 // ---------------------------------------------------------------------
-// Bootstrap over the wire: the payload round-trips through the serve
-// factory, and bootstrap_worker_loop runs the result over a real stream.
+// Bootstrap over the wire: a serve handler built from the bootstrap
+// payload answers like the in-process node loop, and bootstrap_worker_loop
+// runs it over a real stream.
 // ---------------------------------------------------------------------
 
-TEST(SocketBootstrap, PayloadRoundTripsThroughTheServeFactory) {
-  // Encode the run-static description, decode it through the factory, and
-  // check the rebuilt handler answers a task byte-for-byte like a handler
-  // built directly from the same inputs — the bootstrap carries *all* the
-  // state the serve closure needs.
+TEST(SocketBootstrap, WorkerServeMatchesTheInProcessNodeLoop) {
+  // A worker's serve handler, built from nothing but the bootstrap
+  // payload, answers a task frame with exactly what the in-process node
+  // loop computes over the same round: per node the flags, the advanced
+  // RNG state and the payload, then the range's response bytes.
+  using Kernel = core::detail::LowLoadKernel<MinDisk>;
   MinDisk p;
+  const std::size_t n = 48;
+  const auto pts = testsupport::golden_disk_points(DiskDataset::kHull, 96);
+  gossip::NodeStore<geom::Vec2> store(n);
+  util::Rng place(3);
+  for (const geom::Vec2& pt : pts) {
+    store.add_original(static_cast<gossip::NodeId>(place.below(n)), pt);
+  }
+  gossip::FaultModel faults;
+  faults.sleep_probability = 0.2;
+  faults.response_loss = 0.1;
+  gossip::Network net(n, util::Rng(4), faults);
+  net.begin_round();
   core::SamplerConfig sampler;
   sampler.target = 54;
-  sampler.log_n = 8;
-  sampler.c = 2.5;
-  sampler.strict = true;
-  const MinDisk::Solution oracle{};  // value only compared via same_value
-  const auto payload = core::detail::low_load_bootstrap_payload<MinDisk>(
-      oracle, sampler, /*run_termination=*/true);
+  sampler.log_n = 7;
+  const MinDisk::Solution oracle = p.solve(pts);
+  const Kernel k{p,     oracle, sampler, sampler.pulls_per_node(),
+                 false, true,   false};
+  const shard::ShardRange range{8, 40};
+  std::vector<util::Rng> rng;
+  for (std::size_t v = 0; v < n; ++v) rng.push_back(util::Rng(11).child(v));
+  auto active = [&](gossip::NodeId v) { return v % 5 != 0 && !net.asleep(v); };
 
-  gossip::Decoder d(payload);
-  auto factory = core::detail::make_low_load_bootstrap_factory<MinDisk>(p);
-  auto rebuilt = factory(d);
-  EXPECT_TRUE(d.exhausted()) << "factory must consume the whole payload";
-  auto direct = core::detail::make_low_load_serve<MinDisk>(
-      p, oracle, sampler, /*run_termination=*/true);
+  // In-process: the node loop over the run's own snapshot and streams.
+  shard::StoreSnapshot<geom::Vec2> snapshot;
+  snapshot.assign(store);
+  std::vector<util::Rng> local_rng = rng;
+  std::vector<Kernel::Node> local_nodes(n);
+  core::detail::LocalNodes<Kernel::Node, decltype(active)> local{
+      active, local_rng, local_nodes};
+  Kernel::Scratch scratch;
+  core::ChunkAcc local_acc;
+  core::detail::stage_a_range(k, snapshot, core::pull_round(net), range,
+                              local, scratch, local_acc);
 
-  // An all-inactive task range over an empty 3-node store exercises the
-  // full header/pull-inputs/trailer codec without needing live RNG state.
-  const gossip::Network net(3, util::Rng(1));
-  const gossip::NodeStore<geom::Vec2> store(3);
-  std::vector<gossip::NodeId> sleeping;
+  // A worker: a serve handler rebuilt from the bootstrap payload, fed the
+  // task frame the coordinator encodes.
+  gossip::Encoder payload;
+  Kernel::Boot{false, true, sampler, oracle, p}.put(payload);
+  gossip::Decoder boot(payload.bytes());
+  auto serve = core::detail::make_worker_serve<Kernel>(boot);
+  EXPECT_TRUE(boot.exhausted()) << "the factory must consume the payload";
   gossip::Encoder task;
-  task.put_u8(0);   // no solution snapshot yet
-  task.put_u32(0);  // begin
-  task.put_u32(3);  // end
+  k.put_round(task);
+  task.put_u32(range.begin);
+  task.put_u32(range.end);
+  std::vector<gossip::NodeId> sleeping;
   core::put_pull_inputs(task, net, store, sleeping);
-  for (int v = 0; v < 3; ++v) task.put_u8(0);  // all inactive
+  for (gossip::NodeId v = range.begin; v < range.end; ++v) {
+    task.put_u8(active(v) ? shard::nodeflag::kActive : std::uint8_t{0});
+    if (active(v)) shard::put_rng(task, rng[v]);
+  }
+  gossip::Decoder task_in(task.bytes());
+  gossip::Encoder result;
+  serve(task_in, result);
+  EXPECT_TRUE(task_in.exhausted());
 
-  gossip::Encoder out_rebuilt;
-  gossip::Decoder d1(task.bytes());
-  rebuilt(d1, out_rebuilt);
-  gossip::Encoder out_direct;
-  gossip::Decoder d2(task.bytes());
-  direct(d2, out_direct);
-  EXPECT_EQ(out_rebuilt.bytes(), out_direct.bytes());
+  // The result, decoded as the coordinator decodes it.
+  gossip::Decoder d(result.bytes());
+  EXPECT_EQ(shard::get_msg_type(d), shard::MsgType::kStageAResult);
+  core::ChunkAcc acc;
+  std::vector<util::Rng> remote_rng = rng;
+  std::vector<Kernel::Node> remote_nodes(n);
+  for (gossip::NodeId v = range.begin; v < range.end; ++v) {
+    const std::uint8_t flags = d.get_u8();
+    EXPECT_EQ((flags & shard::nodeflag::kActive) != 0, active(v)) << v;
+    if (flags & shard::nodeflag::kActive) {
+      shard::get_rng(d, remote_rng[v]);
+      k.get_node(d, flags, remote_nodes[v]);
+    }
+    acc.add(v, flags);
+  }
+  acc.response_bytes = d.get_u64();
+  EXPECT_TRUE(d.exhausted());
+
+  EXPECT_GT(acc.attempts, 0u);
+  EXPECT_FALSE(acc.replay.empty());
+  EXPECT_EQ(acc.attempts, local_acc.attempts);
+  EXPECT_EQ(acc.failures, local_acc.failures);
+  EXPECT_EQ(acc.first, local_acc.first);
+  EXPECT_EQ(acc.response_bytes, local_acc.response_bytes);
+  EXPECT_EQ(acc.replay, local_acc.replay);
+  for (gossip::NodeId v = range.begin; v < range.end; ++v) {
+    EXPECT_EQ(remote_rng[v].state(), local_rng[v].state()) << v;
+  }
+  for (const gossip::NodeId v : acc.replay) {
+    EXPECT_EQ(remote_nodes[v].violators, local_nodes[v].violators) << v;
+    // run_termination: a node with no violators ships its solution.
+    if (local_nodes[v].violators.empty()) {
+      EXPECT_EQ(remote_nodes[v].sol, local_nodes[v].sol) << v;
+    }
+  }
 }
 
 TEST(SocketBootstrap, WorkerLoopServesOnlyAfterItsBootstrapFrame) {
