@@ -21,8 +21,8 @@
 // Latency percentiles come from an obs::Histogram (log-bucketed, <=3.2%
 // overstatement) instead of sorting raw latency vectors; the tracing
 // overhead gate holds a traced steady pump (default sampling, period 64)
-// to <= 1% wall overhead against an untraced one: the fastest traced rep
-// over the fastest untraced rep, from alternating reps.  --trace records
+// to <= 1% overhead against an untraced one: the median over paired reps
+// of traced / untraced CPU time, the order alternating.  --trace records
 // the remaining phases as a Chrome trace (service epoch spans + engine
 // round spans; the zero-alloc gate then runs with tracing ACTIVE, proving
 // the contract survives it); --obs dumps the full metrics registry JSON
@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <new>
 #include <vector>
 
@@ -86,6 +87,14 @@ using namespace lpt;
 // oracle by at most 1/32 (tests/test_obs.cpp pins the bound exactly).
 double percentile_us(const lpt::obs::Histogram& h, double q) {
   return static_cast<double>(h.percentile(q)) * 1e-3;
+}
+
+/// CPU seconds this process has used (all its threads).
+double cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 void check_served(const service::LptService& svc,
@@ -242,84 +251,97 @@ int main(int argc, char** argv) {
 
   // --- Phase 1.5: tracing overhead hard gate. ----------------------------
   // The acceptance contract: tracing enabled at default sampling (one
-  // sampled epoch in sample_period) costs <= 1% wall on the closed-loop
-  // steady pump.  Alternating traced/untraced reps share one warmed
-  // service; the gated statistic is traced_min / untraced_min, the ratio
-  // of each side's least-disturbed rep.  Scheduler noise is additive and
-  // one-sided (it only ever slows a rep), so each side's minimum is the
-  // closest to its true cost, while a real trace cost slows every traced
-  // rep and survives its minimum.  (The minimum of the per-pair ratios,
-  // the earlier statistic, is dragged below 1 by a disturbed untraced
-  // rep, so it could not see a cost of a few percent.)  The real
-  // overhead — a relaxed atomic load per trace site plus one sampled
-  // epoch's events — is far below the gate.
+  // sampled epoch in sample_period) costs <= 1% on the closed-loop steady
+  // pump.  Traced and untraced epochs alternate one by one, the order
+  // inside each pair alternating too, and each pair gives the ratio of the
+  // two epochs' CPU times.  An unsampled traced epoch pays only the
+  // per-site checks; a sampled one also records its events.  The gated
+  // statistic prices one sampling period from the two kinds' median pair
+  // ratios:  ((sample_period - 1) * r_unsampled + r_sampled) /
+  // sample_period.
+  //   * Process CPU time, not wall: the one-lane service serves on one
+  //     thread, and CPU time leaves out the time the scheduler gives other
+  //     processes.
+  //   * Neighbouring epochs: what slows this host for more than a
+  //     millisecond or two (a neighbour's burst, a frequency step) slows
+  //     both epochs of a pair, and neither side always runs first.
+  //   * Medians: the few pairs a burst of interference lands on barely
+  //     move them; the unsampled ratios' quartiles are printed as the
+  //     spread.
+  // The real overhead — a relaxed atomic load per trace site plus one
+  // sampled epoch's events — is far below the gate.
   double trace_overhead_ratio = 0.0;
   if (gate_overhead && obs::kTraceCompiled) {
     service::LptService svc(cfg);
     std::uint64_t next_id = 0;
-    auto pump = [&](std::size_t count) {
-      std::size_t done = 0;
-      while (done < count) {
-        const std::size_t burst = std::min(batch, count - done);
-        for (std::size_t j = 0; j < burst; ++j) {
-          auto q = svc.acquire_request();
-          q.id = next_id++;
-          q.seed = 7;
-          const auto& inst = small_pool[q.id % small_pool.size()];
-          q.points.assign(inst.begin(), inst.end());
-          svc.submit(std::move(q));
-        }
-        while (svc.pending() > 0) svc.run_epoch(responses);
-        done += burst;
-        for (auto& r : responses) svc.recycle_response(std::move(r));
-        responses.clear();
+    // One epoch: a burst of `batch` queries, served and recycled.
+    auto epoch = [&] {
+      for (std::size_t j = 0; j < batch; ++j) {
+        auto q = svc.acquire_request();
+        q.id = next_id++;
+        q.seed = 7;
+        const auto& inst = small_pool[q.id % small_pool.size()];
+        q.points.assign(inst.begin(), inst.end());
+        svc.submit(std::move(q));
       }
+      while (svc.pending() > 0) svc.run_epoch(responses);
+      for (auto& r : responses) svc.recycle_response(std::move(r));
+      responses.clear();
     };
-    // Long timed regions are the other half of the noise filter: a
-    // few-ms pump flaps past 1% from scheduler jitter alone even at
-    // min-of-7, so each rep pumps at least 8k queries (~tens of ms).
-    const std::size_t per_rep = std::max<std::size_t>(queries, 8192);
-    pump(std::min<std::size_t>(per_rep, 1024));  // warm slots + arenas
-    double traced_min = 0.0;
-    double untraced_min = 0.0;
-    const int pairs = 7;
-    for (int rep = 0; rep < pairs; ++rep) {
-      obs::TraceConfig tc;  // default sampling: period 64
-      obs::enable_tracing(tc);
-      // enable_tracing just wrote the multi-MB ring, evicting the serve
-      // working set from cache; re-warm before the timer (and
-      // symmetrically on the untraced side) so the ratio measures
-      // trace-site cost, not a one-off cache refill.
-      pump(1024);
-      double traced_secs = 0.0;
-      {
-        bench::WallTimer t;
-        pump(per_rep);
-        traced_secs = t.seconds();
-        if (rep == 0 || traced_secs < traced_min) traced_min = traced_secs;
-      }
+    auto timed_epoch = [&](bool traced) {
+      if (traced) obs::resume_tracing();
+      const double start = cpu_seconds();
+      epoch();
+      const double secs = cpu_seconds() - start;
       obs::disable_tracing();
-      {
-        pump(1024);
-        bench::WallTimer t;
-        pump(per_rep);
-        const double secs = t.seconds();
-        if (rep == 0 || secs < untraced_min) untraced_min = secs;
-      }
+      return secs;
+    };
+    const obs::TraceConfig tc;  // default sampling
+    obs::enable_tracing(tc);    // the ring, written once, before timing
+    obs::disable_tracing();
+    for (int w = 0; w < 16; ++w) epoch();  // warm slots + arenas
+    // resume_tracing keeps the sampling position, so every sample_period
+    // traced epochs hold exactly one sampled epoch.
+    const std::size_t pairs = 8 * tc.sample_period;
+    std::vector<double> unsampled;
+    std::vector<double> sampled;
+    double cpu_total = 0.0;
+    for (std::size_t k = 0; k < pairs; ++k) {
+      const bool traced_first = k % 2 == 0;
+      const std::size_t events = obs::trace_event_count();
+      const double first = timed_epoch(traced_first);
+      const double second = timed_epoch(!traced_first);
+      // Only a sampled traced epoch records events.
+      (obs::trace_event_count() != events ? sampled : unsampled)
+          .push_back(traced_first ? first / second : second / first);
+      cpu_total += first + second;
     }
-    trace_overhead_ratio = untraced_min > 0.0 ? traced_min / untraced_min
-                                              : 0.0;
-    table.add_row({"trace-overhead", util::fmt(per_rep * pairs * 2),
-                   util::fmt(traced_min + untraced_min, 4),
-                   util::fmt(trace_overhead_ratio, 4),
-                   "traced_min / untraced_min"});
-    std::printf("trace overhead: traced_min=%.4fs untraced_min=%.4fs "
-                "ratio=%.4f (gate: <= 1.01)\n\n",
-                traced_min, untraced_min, trace_overhead_ratio);
+    auto quantile = [](std::vector<double>& v, double q) {
+      std::sort(v.begin(), v.end());
+      const double pos = q * static_cast<double>(v.size() - 1);
+      const auto lo = static_cast<std::size_t>(pos);
+      const std::size_t hi = std::min(lo + 1, v.size() - 1);
+      return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+    };
+    LPT_CHECK_MSG(!sampled.empty() && !unsampled.empty(),
+                  "the overhead gate saw no sampled or no unsampled epoch");
+    const double r_unsampled = quantile(unsampled, 0.5);
+    const double r_sampled = quantile(sampled, 0.5);
+    const auto period = static_cast<double>(tc.sample_period);
+    trace_overhead_ratio = ((period - 1.0) * r_unsampled + r_sampled) / period;
+    table.add_row({"trace-overhead", util::fmt(2 * pairs * batch),
+                   util::fmt(cpu_total, 4), util::fmt(trace_overhead_ratio, 4),
+                   "traced/untraced CPU, paired epochs"});
+    std::printf("trace overhead: ratio=%.4f over %zu epoch pairs (unsampled "
+                "median=%.4f q1=%.4f q3=%.4f; %zu sampled, median=%.4f; "
+                "gate: <= 1.01)\n\n",
+                trace_overhead_ratio, pairs, r_unsampled,
+                quantile(unsampled, 0.25), quantile(unsampled, 0.75),
+                sampled.size(), r_sampled);
     std::fflush(stdout);  // keep the diagnostics if the gate aborts
     LPT_CHECK_MSG(trace_overhead_ratio <= 1.01,
-                  "tracing at default sampling cost more than 1% wall on "
-                  "the steady serve loop");
+                  "tracing at default sampling cost more than 1% on the "
+                  "steady serve loop");
   }
   json.set("trace_overhead_ratio", trace_overhead_ratio);
 

@@ -1,7 +1,7 @@
 // Churn: nodes leaving and (re)joining mid-run (ROADMAP "scenario
 // diversity").  A ChurnSchedule is a deterministic, pre-compiled list of
-// leave/join events keyed by round number; the engines apply the events due
-// at the start of each round, *after* Network::begin_round().
+// leave/join events keyed by round number; core/round_driver.hpp applies
+// the events due at the start of each round, *after* begin_round().
 //
 // Semantics (chosen so the paper's correctness invariants survive):
 //   * leave — the node hands its whole store off to uniformly random
@@ -10,9 +10,8 @@
 //     multiset H_0(V) is preserved across any schedule.  A departed node
 //     answers no pulls (its store is empty) and deliveries addressed to it
 //     are dropped — safe, because pushers always retain their own copies.
-//   * join — the node enters the Section 2.3 pull phase: it starts empty
-//     and pulls until it sees a seed, exactly like a node whose initial
-//     placement left it empty.
+//   * join — the node is present again; a low-load node enters the
+//     Section 2.3 pull phase, like a node whose placement left it empty.
 //
 // Handoff draws come from the network's shared RNG stream, replayed in
 // stage B order, so churn runs stay deterministic for any thread or shard
@@ -68,7 +67,6 @@ class ChurnState {
   }
 
   bool present(gossip::NodeId v) const noexcept { return present_[v] != 0; }
-  std::size_t present_count() const noexcept { return list_.size(); }
 
   void leave(gossip::NodeId v) {
     LPT_CHECK_MSG(present_[v], "churn: leave of a node that is not present");
@@ -121,14 +119,14 @@ class ChurnCursor {
   std::size_t next_ = 0;
 };
 
-/// Hand node v's store off to uniformly random present nodes and clear it.
-/// The leaver's elements are copied into `scratch` first: add_original /
-/// add_copy on a target can grow the target's slab slot, which may
-/// reallocate the arena the leaver's view points into.
-template <typename Element>
+/// Hand node v's store off to uniformly random present nodes and clear it,
+/// calling on_target(t) before each element is added at t.  The elements
+/// are staged in `scratch`: an add can grow a target's slab slot, which
+/// may reallocate the arena the leaver's view points into.
+template <typename Element, typename OnTarget>
 void hand_off_store(gossip::NodeStore<Element>& store, gossip::NodeId v,
                     const ChurnState& churn, util::Rng& rng,
-                    std::vector<Element>& scratch) {
+                    std::vector<Element>& scratch, OnTarget&& on_target) {
   const std::span<const Element> view = store.view(v);
   if (view.empty()) return;
   const std::size_t h0 = store.h0_count(v);
@@ -136,6 +134,7 @@ void hand_off_store(gossip::NodeStore<Element>& store, gossip::NodeId v,
   store.clear_node(v);
   for (std::size_t i = 0; i < scratch.size(); ++i) {
     const gossip::NodeId target = churn.draw_present(rng);
+    on_target(target);
     if (i < h0) {
       store.add_original(target, scratch[i]);
     } else {

@@ -16,33 +16,29 @@
 // Theorem 5: a hitting set of size O(d log(ds)) in O(d log n) rounds with
 // work O(d log(ds) + log n) per round, w.h.p.
 //
-// Simulator cost per round follows the same large-n contract as
-// run_low_load: slab-backed element storage (O(1) |X(V)|, O(copy-holders)
-// filter pass), one O(n + |X(V)|) round-start store snapshot for the
-// pulls, receiver-list delivery walks, and a chunk-collected stage-B
-// replay that only visits winners and W_i pushers — all bit-identical to
-// a serial full scan for any parallel_nodes value.
-//
-// Stage A is one kernel (detail::HittingSetKernel) that core/stage_a.hpp
-// runs inline, on a thread pool, or on shard workers over any transport.
-// Every node knows S, so a shard worker receives the set system once, in
-// its bootstrap frame, and each task frame only the round's sampler
-// parameters, store snapshot and per-node RNG states.
+// core/round_driver.hpp runs the round under low load's large-n contract
+// (core/low_load.hpp); the stage-B replay visits only winners and W_i
+// pushers.  Stage A is one kernel (detail::HittingSetKernel) that
+// core/stage_a.hpp runs inline, on a thread pool, or on shard workers over
+// any transport, bit-identically.  Every node knows S, so a shard worker
+// receives the set system once, in its bootstrap frame.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <ranges>
 #include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/result.hpp"
+#include "core/round_driver.hpp"
 #include "core/sampling.hpp"
 #include "core/stage_a.hpp"
 #include "gossip/mailbox.hpp"
 #include "gossip/network.hpp"
-#include "obs/obs.hpp"
 #include "problems/hitting_set_problem.hpp"
 #include "shard/runtime.hpp"
 #include "util/assert.hpp"
@@ -51,8 +47,8 @@
 namespace lpt::core {
 
 /// Configuration for run_hitting_set.  Every field participates in the
-/// determinism contract except parallel_nodes, which is guaranteed not to
-/// (bit-identical results for any value).
+/// determinism contract except parallel_nodes and shard, which only move
+/// stage A (bit-identical results for any value).
 struct HittingSetConfig {
   std::uint64_t seed = 1;
   std::size_t hitting_set_size = 0;  // the paper's d; 0 = start doubling at 1
@@ -63,17 +59,11 @@ struct HittingSetConfig {
   bool filtering = true;
   std::size_t max_rounds = 0;  // 0: auto cap (per doubling stage)
   gossip::FaultModel faults;   // message loss / sleeping nodes
-  std::size_t parallel_nodes = 0;  // >1: stage A (pulls, sample selection,
-                                   // hit marking, W_i assembly) runs on
-                                   // this many threads, bit-identical to
-                                   // the serial run (core/stage_a.hpp).
-                                   // One pool level only: combining with a
-                                   // bench --threads sweep oversubscribes.
-  shard::ShardConfig shard;  // shards >= 1: stage A runs on that many shard
-                             // workers (shard/runtime.hpp), bit-identical
-                             // to the serial run for every shard count and
-                             // transport; takes precedence over
-                             // parallel_nodes.
+  std::size_t parallel_nodes = 0;  // >1: stage A (core/stage_a.hpp) runs on
+                                   // this many threads for one run; a bench
+                                   // --threads sweep on top oversubscribes
+  shard::ShardConfig shard;  // shards >= 1: stage A runs on shard workers
+                             // (shard/runtime.hpp), over parallel_nodes
 };
 
 struct HittingSetRunResult {
@@ -221,6 +211,127 @@ struct HittingSetKernel {
 
 }  // namespace detail
 
+/// The hitting-set engine of core/round_driver.hpp: stage A
+/// (HittingSetKernel through core/stage_a.hpp), the stage-B replay of
+/// winners and W_i pushers, and the doubling search on d.  The elements
+/// X = {0..|X|-1} are placed as originals.
+class HittingSetEngine : public EngineHooks {
+ public:
+  using Problem = problems::HittingSetProblem;
+  using Element = std::uint32_t;
+  using Input = std::ranges::iota_view<Element, Element>;
+  using Config = HittingSetConfig;
+  using Result = HittingSetRunResult;
+  static constexpr EngineNames kNames = LPT_ENGINE_NAMES("hitting_set");
+
+  static RoundPlan plan(const Problem& problem, const HittingSetConfig& cfg,
+                        std::size_t n) {
+    LPT_CHECK(problem.system().universe_size() >= 1 &&
+              problem.system().set_count() >= 1);
+    const std::size_t d = cfg.hitting_set_size ? cfg.hitting_set_size : 1;
+    return {.seed = cfg.seed, .faults = cfg.faults,
+            .max_rounds = stage_rounds(cfg, d, n), .dimension = d};
+  }
+
+  HittingSetEngine(RoundDriver<HittingSetEngine>& d, const Problem& problem,
+                   const HittingSetConfig& cfg)
+      : problem_(problem), cfg_(cfg), copies_mail_(d.net_) {
+    const std::size_t n = d.n_;
+    log_n_ = util::ceil_log2(n) + 1;
+    start_stage(d.plan_.dimension);
+    // Only what stage B consumes lives per node; the sampler and
+    // hit-marking scratch is per worker thread (O(n + s) per thread).
+    scratch_.resize(n);
+    // Shard workers spawn here, before any thread pool exists.
+    stage_a_.emplace(n, cfg_.parallel_nodes, cfg_.shard, [&] {
+      return detail::HittingSetKernel::Boot{cfg_.strict_sampling, problem_};
+    });
+  }
+
+  void round(RoundDriver<HittingSetEngine>& d) {
+    const gossip::Network& net = d.net_;
+    // Stage A (core/stage_a.hpp): each node's pulls (Section 2.1), sample
+    // selection, hit marking and W_i assembly, against the round-start
+    // store, drawing only from the node's own stream.
+    stage_a_->run(
+        detail::HittingSetKernel{problem_, cfg_.strict_sampling, r_,
+                                 push_cap_, pulls_},
+        d.net_, d.store_, [&](gossip::NodeId v) { return !net.asleep(v); },
+        d.node_rng_, scratch_, d.res_.stats);
+    // Stage B: only winners and within-cap W_i pushers, in ascending node
+    // order.
+    for (const ChunkAcc& ch : stage_a_->chunks()) {
+      for (const gossip::NodeId v : ch.replay) {
+        d.touch();
+        detail::HsNode& sc = scratch_[v];
+        if (!sc.winner) {
+          for (const Element x : sc.wi) copies_mail_.push(v, x);
+        } else if (!d.found()) {
+          HittingSetRunResult& res = d.res_;
+          res.hitting_set = std::move(sc.sample);
+          res.d_used = d_;
+          res.sample_size = r_;
+          d.record_first();
+        }
+      }
+    }
+    d.deliver(copies_mail_, /*as_originals=*/false);
+  }
+
+  std::size_t filter_dimension() const { return cfg_.filtering ? d_ : 0; }
+
+  /// The doubling search on the unknown minimum hitting set size: a stage
+  /// that runs out doubles d, unless d is fixed or already covers X.
+  std::size_t next_stage(std::size_t n) {
+    if (cfg_.hitting_set_size || d_ >= problem_.system().universe_size()) {
+      return 0;  // give up
+    }
+    start_stage(2 * d_);
+    return stage_rounds(cfg_, d_, n);
+  }
+
+  void finish(RoundDriver<HittingSetEngine>& d) {
+    HittingSetRunResult& res = d.res_;
+    res.valid = !res.hitting_set.empty() &&
+                problem_.is_hitting_set(res.hitting_set);
+    stage_a_->copy_recovery_stats(cfg_.shard.recovery_out);
+  }
+
+ private:
+  /// One doubling stage's round cap: O(d log n).
+  static std::size_t stage_rounds(const HittingSetConfig& cfg, std::size_t d,
+                                  std::size_t n) {
+    return cfg.max_rounds ? cfg.max_rounds
+                          : 40 * d * (util::ceil_log2(n) + 2) + 40;
+  }
+
+  /// The sampler and push parameters of the stage at d.
+  void start_stage(std::size_t d) {
+    d_ = d;
+    r_ = cfg_.sample_size
+             ? cfg_.sample_size
+             : hitting_set_sample_size(d, problem_.system().set_count());
+    pulls_ = SamplerConfig{.target = r_, .c = cfg_.sampler_c, .log_n = log_n_}
+                 .pulls_per_node();
+    push_cap_ = static_cast<std::size_t>(cfg_.push_cap_c *
+                                         static_cast<double>(d) *
+                                         static_cast<double>(log_n_)) +
+                1;
+  }
+
+  const problems::HittingSetProblem& problem_;
+  const HittingSetConfig cfg_;
+  std::size_t log_n_ = 0;     // ceil(log2 n) + 1
+  std::size_t d_ = 0;         // the stage's d
+  std::size_t r_ = 0;         // the stage's sample size
+  std::size_t pulls_ = 0;     // per node per round
+  std::size_t push_cap_ = 0;  // W_i is pushed only when |W_i| <= push_cap_
+  gossip::Mailbox<Element> copies_mail_;
+  std::vector<detail::HsNode> scratch_;
+  // Last: its shard workers or thread pool outlive nothing stage A reads.
+  std::optional<StageA<detail::HittingSetKernel>> stage_a_;
+};
+
 /// Run Algorithm 6 over `n_nodes` gossip nodes.  If cfg.hitting_set_size is
 /// zero the engine performs the doubling search on d the paper sketches in
 /// Section 1.4 ("binary search on d, stopping the algorithm if it takes too
@@ -228,140 +339,10 @@ struct HittingSetKernel {
 inline HittingSetRunResult run_hitting_set(
     const problems::HittingSetProblem& problem, std::size_t n_nodes,
     const HittingSetConfig& cfg = {}) {
-  using Element = std::uint32_t;
-  const auto& sys = problem.system();
-  const std::size_t n = n_nodes;
-  const std::size_t x_size = sys.universe_size();
-  const std::size_t s = sys.set_count();
-  LPT_CHECK(n >= 1 && x_size >= 1 && s >= 1);
-
-  HittingSetRunResult res;
-  util::Rng master(cfg.seed);
-  gossip::Network net(n, master.child(0), cfg.faults);
-  util::Rng dist_rng = master.child(1);
-  std::vector<util::Rng> node_rng;
-  node_rng.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) node_rng.push_back(master.child(2 + v));
-
-  // Initial placement of X over the nodes (slab-backed store: O(1) global
-  // totals, O(copy-holders) filter pass).
-  gossip::NodeStore<Element> store(n);
-  for (std::uint32_t x = 0; x < x_size; ++x) {
-    store.add_original(static_cast<gossip::NodeId>(dist_rng.below(n)), x);
-  }
-  res.stats.initial_total_elements = store.total_elements();
-  res.stats.max_total_elements = res.stats.initial_total_elements;
-
-  gossip::Mailbox<Element> copies_mail(net);
-  const std::size_t log_n = util::ceil_log2(n) + 1;
-
-  std::size_t d = cfg.hitting_set_size ? cfg.hitting_set_size : 1;
-  bool done = false;
-  std::size_t global_round = 0;
-
-  // Per-node stage-A output, persistent across rounds so the steady state
-  // allocates nothing.  Only what stage B consumes lives here — the
-  // sampler/hit-marking scratch is per worker thread, keeping the
-  // footprint O(n + s) per thread instead of O(n * s).
-  std::vector<detail::HsNode> scratch(n);
-
-  // Stage A (core/stage_a.hpp) runs on shard workers when configured, else
-  // on cfg.parallel_nodes threads — bit-identical to the serial run either
-  // way.  Workers spawn here, before any thread pool exists.
-  StageA<detail::HittingSetKernel> stage_a(
-      n, cfg.parallel_nodes, cfg.shard, [&] {
-        return detail::HittingSetKernel::Boot{cfg.strict_sampling, problem};
-      });
-
-  while (!done) {
-    const std::size_t r = cfg.sample_size
-                              ? cfg.sample_size
-                              : hitting_set_sample_size(d, s);
-    SamplerConfig sampler;
-    sampler.target = r;
-    sampler.c = cfg.sampler_c;
-    sampler.log_n = log_n;
-    const std::size_t pulls = sampler.pulls_per_node();
-    const double keep_p =
-        1.0 / (1.0 + 1.0 / (2.0 * static_cast<double>(d)));
-    const auto push_cap = static_cast<std::size_t>(
-        cfg.push_cap_c * static_cast<double>(d) *
-        static_cast<double>(log_n)) + 1;
-    const std::size_t stage_rounds =
-        cfg.max_rounds ? cfg.max_rounds
-                       : 40 * d * (util::ceil_log2(n) + 2) + 40;
-    // Round-bound hint for this doubling stage: keeps the meter's
-    // per-round push_back realloc-free (reserve is monotone, so later
-    // stages only ever grow it).
-    net.meter().reserve_rounds(global_round + stage_rounds + 1);
-
-    for (std::size_t t = 1; t <= stage_rounds && !done; ++t) {
-      ++global_round;
-      net.begin_round();
-      obs::trace_tick();  // rounds are the engine's sampling unit
-      obs::TraceSpan round_span("hitting_set.round", global_round);
-      std::size_t bookkeeping = 0;
-
-      // --- Per-node compute (stage A, core/stage_a.hpp): the node's pulls
-      // (Section 2.1), sample selection, hit marking, and W_i assembly,
-      // against the round-start store.  It touches only node_rng[v], so it
-      // fans out across threads or shard workers; every shared-RNG side
-      // effect (the W_i mailbox pushes) is collected per chunk and
-      // replayed in stage B in ascending node order, making those runs
-      // bit-identical to serial ones.
-      stage_a.run(
-          detail::HittingSetKernel{problem, cfg.strict_sampling, r, push_cap,
-                                   pulls},
-          net, store, [&](gossip::NodeId v) { return !net.asleep(v); },
-          node_rng, scratch, res.stats);
-
-      // --- Shared-state replay (stage B): only winners and within-cap W_i
-      // pushers, in ascending node order. ---
-      for (const ChunkAcc& ch : stage_a.chunks()) {
-        for (const gossip::NodeId v : ch.replay) {
-          ++bookkeeping;
-          detail::HsNode& sc = scratch[v];
-          if (sc.winner) {
-            if (!done) {
-              done = true;
-              res.hitting_set = std::move(sc.sample);
-              res.stats.rounds_to_first = global_round;
-              res.stats.reached_optimum = true;
-              res.d_used = d;
-              res.sample_size = r;
-            }
-            continue;
-          }
-          for (auto x : sc.wi) copies_mail.push(v, x);
-        }
-      }
-
-      copies_mail.deliver();
-      for (const gossip::NodeId v : copies_mail.receivers()) {
-        ++bookkeeping;
-        for (const auto& x : copies_mail.inbox(v)) store.add_copy(v, x);
-      }
-      if (cfg.filtering) {
-        bookkeeping += store.filter_copies(
-            keep_p,
-            [&](gossip::NodeId v) -> util::Rng& { return node_rng[v]; });
-      }
-      res.stats.end_round(store.total_elements(), bookkeeping);
-    }
-
-    if (!done) {
-      if (cfg.hitting_set_size || d >= x_size) break;  // give up
-      d *= 2;  // doubling search on the unknown minimum hitting set size
-    }
-  }
-
-  res.valid = !res.hitting_set.empty() &&
-              problem.is_hitting_set(res.hitting_set);
-  stage_a.copy_recovery_stats(cfg.shard.recovery_out);
-  res.stats.finish(net.meter(), store.total_elements());
-  obs::counter("engine.hitting_set.runs").add(1);
-  obs::counter("engine.hitting_set.rounds").add(res.stats.rounds_to_first);
-  return res;
+  const auto universe = static_cast<std::uint32_t>(
+      problem.system().universe_size());
+  return run_to_end<HittingSetEngine>(
+      problem, std::views::iota(std::uint32_t{0}, universe), n_nodes, cfg);
 }
 
 }  // namespace lpt::core

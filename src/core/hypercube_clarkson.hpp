@@ -189,6 +189,7 @@ HypercubeClarksonResult<P> run_hypercube_clarkson(
   std::vector<double> node_weight(n_nodes, 0.0);
   std::vector<double> prefix;  // reused: assignment keeps the capacity
   std::vector<Tally> tallies(n_nodes);
+  std::vector<std::uint8_t> violated(n, 0);  // the tally sweep's verdicts
   std::vector<Element> sample;
   for (std::size_t it = 0; it < max_iterations; ++it) {
     ++res.iterations;
@@ -283,7 +284,8 @@ HypercubeClarksonResult<P> run_hypercube_clarkson(
       for_each_occupied([&](std::size_t v, std::size_t b, std::size_t e) {
         Tally t;
         for (std::size_t i = b; i < e; ++i) {
-          if (p.violates(sol, elems[i])) {
+          violated[i] = p.violates(sol, elems[i]) ? 1 : 0;
+          if (violated[i]) {
             t.weight += weight[i];
             t.any = 1;
           }
@@ -308,7 +310,7 @@ HypercubeClarksonResult<P> run_hypercube_clarkson(
       obs::TraceSpan span("hypercube.sweep", it);
       for_each_occupied([&](std::size_t, std::size_t b, std::size_t e) {
         for (std::size_t i = b; i < e; ++i) {
-          if (p.violates(sol, elems[i])) weight[i] *= 2.0;
+          if (violated[i]) weight[i] *= 2.0;
         }
       });
     }

@@ -18,52 +18,23 @@
 // Theorem 3: O(d log n) rounds and O(d^2 + log n) work per node per round,
 // w.h.p.  bench/fig2_low_load reproduces Figure 2 with this engine.
 //
-// ## Simulator cost per round (the large-n engine contract)
+// ## Simulator cost and determinism
 //
-// The only per-round loops proportional to n are the ones that do inherent
-// per-node algorithm work: the stage-A compute (each awake node's sampler
-// pulls, sample selection, local solve, violator scan), metering those
-// pulls, and the round-start store snapshot those pulls read.  The
-// snapshot is one O(n + |H(V)|) pass per round in every mode — built from
-// the live store in-process, encoded by the coordinator and decoded by
-// each worker when sharded — that also hashes every stored element once
-// to give it a dense id; bookkeeping_touches does not count it.  All
-// bookkeeping is proportional to the *active* sets instead:
+// core/round_driver.hpp runs the round.  The only per-round loops
+// proportional to n do inherent per-node work: stage A (each awake node's
+// pulls, sample selection, local solve and violator scan), metering those
+// pulls, and the round-start store snapshot they read.  All bookkeeping is
+// proportional to the *active* sets: the Section 2.3 pull phase is a sorted
+// node list that empties after O(log n) rounds, and the stage-B replay
+// walks only the nodes stage A flagged; tests pin
+// last_round_bookkeeping_touches to O(active) << n.
 //
-//   * element storage is a slab-backed gossip::NodeStore — |H(V)| is O(1)
-//     (incremental), and the filter pass visits only nodes holding copies;
-//   * delivery walks only the inboxes that received something (CSR
-//     receiver lists), not all n;
-//   * the Section 2.3 pull phase is a compact sorted node list that
-//     empties after O(log n) rounds;
-//   * the stage-B replay walks only the nodes stage A flagged as needing
-//     shared-state effects (violator pushes, termination injects), with
-//     sampler statistics accumulated as per-chunk counters.
-//
-// DistributedRunStats::last_round_bookkeeping_touches records the final
-// round's bookkeeping node-touches; tests pin it to O(active) << n.
-//
-// ## Determinism
-//
-// One run is a pure function of (problem, h_set, n_nodes, cfg): the master
-// seed fans out into the network stream, the placement stream, and n
-// per-node streams.  cfg.parallel_nodes only changes *where* the stage-A
-// compute runs: that stage consumes per-node RNG streams exclusively (a
-// node draws its own pulls' targets, answers and loss gaps), every
-// shared-RNG side effect is replayed serially in ascending node order in
-// stage B (the chunked stage-A collection preserves that order exactly),
-// and the filter pass consumes per-node streams only — so results are
-// bit-identical for every thread count.
-//
-// Stage A is one kernel (detail::LowLoadKernel) that core/stage_a.hpp runs
-// inline, on a thread pool, or on shard workers started from a bootstrap
-// frame holding the problem instance, the sampler constants, the
-// termination flag and the oracle.
-//
-// LowLoadRun exposes one run round by round (step()); run_low_load is that
-// run stepped to completion.  A round reads only the run's own state, so a
-// run stepped with other work between its rounds is bit-identical to an
-// uninterrupted one (the query service relies on this).
+// Stage A (detail::LowLoadKernel, run by core/stage_a.hpp inline, on a
+// thread pool or on shard workers) draws only from per-node streams, and
+// every shared-RNG effect is replayed in stage B in ascending node order,
+// so a run is a pure function of (problem, h_set, n_nodes, cfg) whatever
+// cfg.parallel_nodes and cfg.shard say — and whatever a caller does
+// between the steps of a LowLoadRun (the query service relies on it).
 #pragma once
 
 #include <algorithm>
@@ -77,14 +48,12 @@
 #include "core/churn.hpp"
 #include "core/lp_type.hpp"
 #include "core/result.hpp"
+#include "core/round_driver.hpp"
 #include "core/sampling.hpp"
 #include "core/stage_a.hpp"
-#include "core/termination.hpp"
 #include "gossip/mailbox.hpp"
 #include "gossip/network.hpp"
-#include "obs/obs.hpp"
 #include "shard/runtime.hpp"
-#include "util/assert.hpp"
 #include "util/math.hpp"
 
 namespace lpt::core {
@@ -95,8 +64,8 @@ enum class SamplingMode {
 };
 
 /// Configuration for run_low_load.  Every field participates in the
-/// determinism contract above except parallel_nodes, which is guaranteed
-/// not to (bit-identical results for any value).
+/// determinism contract above except parallel_nodes and shard, which only
+/// move stage A (bit-identical results for any value).
 struct LowLoadConfig {
   std::uint64_t seed = 1;
   double sampler_c = 2.0;        // pull-count constant of Section 2.1
@@ -106,32 +75,22 @@ struct LowLoadConfig {
   bool run_termination = false;  // run Algorithm 3 until every node outputs
   std::size_t termination_maturity = 0;  // 0: 2*ceil(log2 n) + 4
   std::size_t max_rounds = 0;            // 0: auto safety cap
-  std::size_t min_rounds = 0;  // keep simulating at least this many rounds
-                               // even after the optimum is found (used by
-                               // long-horizon load measurements / ablations)
-  gossip::FaultModel faults;   // message loss / sleeping nodes (Section 1.2's
-                               // robustness claim; see gossip::FaultModel)
-  const ChurnSchedule* churn = nullptr;  // nodes leaving/joining mid-run with
-                                         // store handoff (core/churn.hpp);
-                                         // incompatible with run_termination
-                                         // (departed nodes cannot output)
-  std::size_t dimension_override = 0;  // run as if dim(H, f) were this value
-                                       // (the Section 1.4 doubling search on
-                                       // an unknown d; 0 = use p.dimension())
-  std::size_t parallel_nodes = 0;  // >1: stage A (pulls, sample selection,
-                                   // local solve, violator scan) runs on
-                                   // this many threads, bit-identical to
-                                   // the serial run (core/stage_a.hpp).
-                                   // The pool lives for one run: combining
-                                   // with a bench-level --threads sweep
-                                   // oversubscribes — pick one level.
-  shard::ShardConfig shard;  // shards >= 1: stage A runs on that many shard
-                             // workers (shard/runtime.hpp), bit-identical
-                             // to the serial run for every shard count and
-                             // transport; takes precedence over
-                             // parallel_nodes.  Needs shard wire codecs for
+  std::size_t min_rounds = 0;  // keep running at least this long, even past
+                               // the optimum (long-horizon load runs)
+  gossip::FaultModel faults;   // message loss / sleeping nodes (Section 1.2)
+  const ChurnSchedule* churn = nullptr;  // nodes leaving/joining mid-run
+                                         // (core/churn.hpp); incompatible
+                                         // with run_termination
+  std::size_t dimension_override = 0;  // run as if dim(H, f) were this (the
+                                       // Section 1.4 doubling search on an
+                                       // unknown d); 0: p.dimension()
+  std::size_t parallel_nodes = 0;  // >1: stage A (core/stage_a.hpp) runs on
+                                   // this many threads for one run; a bench
+                                   // --threads sweep on top oversubscribes
+  shard::ShardConfig shard;  // shards >= 1: stage A runs on shard workers
+                             // (shard/runtime.hpp), over parallel_nodes, if
                              // the problem's elements, solutions and
-                             // instance, else the run stays in-process.
+                             // instance have wire codecs
 };
 
 template <LpTypeProblem P>
@@ -292,238 +251,130 @@ struct LowLoadKernel {
 };
 }  // namespace detail
 
-/// One run of the Low-Load Clarkson Algorithm on (p, h_set) over `n_nodes`
-/// gossip nodes, resumable round by round: the constructor does the set-up
-/// (oracle, RNG tree, placement, shard workers, channels), step() runs one
-/// round, done() reports the stop rule, and finish() does the post-run
-/// accounting.  The run stops when some node's sample attains f(H) (the
-/// paper's Figure 2 measurement), or — with cfg.run_termination — when
-/// every node has produced an Algorithm 3 output.
-///
-/// Stepping draws no RNG and keeps no clock, so the result does not depend
-/// on what the caller does between steps: it is bit-identical to
-/// run_low_load.  The run borrows `p`, cfg.churn and cfg.shard.recovery_out
-/// until it is destroyed; channels and shard workers hold addresses inside
-/// it, so it is neither copyable nor movable.
+/// The low-load engine of core/round_driver.hpp: the Section 2.3 pull
+/// phase, stage A (LowLoadKernel through core/stage_a.hpp) and the stage-B
+/// replay that merges the pull-phase list with the chunks' candidates.
 template <LpTypeProblem P>
-class LowLoadRun {
+class LowLoadEngine : public EngineHooks {
  public:
+  using Problem = P;
   using Element = typename P::Element;
-  using Solution = typename P::Solution;
+  using Input = std::span<const Element>;
+  using Config = LowLoadConfig;
+  using Result = DistributedLpResult<P>;
+  static constexpr EngineNames kNames = LPT_ENGINE_NAMES("low_load");
 
-  LowLoadRun(const P& p, std::span<const Element> h_set, std::size_t n_nodes,
-             const LowLoadConfig& cfg = {});
-  LowLoadRun(const LowLoadRun&) = delete;
-  LowLoadRun& operator=(const LowLoadRun&) = delete;
+  static RoundPlan plan(const P& p, const LowLoadConfig& cfg, std::size_t) {
+    return {.seed = cfg.seed, .faults = cfg.faults, .churn = cfg.churn,
+            .run_termination = cfg.run_termination,
+            .termination_maturity = cfg.termination_maturity,
+            .max_rounds = cfg.max_rounds, .min_rounds = cfg.min_rounds,
+            .dimension = cfg.dimension_override ? cfg.dimension_override
+                                                : p.dimension()};
+  }
 
-  /// True once the run has stopped (stop rule met past cfg.min_rounds, or
-  /// the round cap reached); an empty h_set is done at construction.
-  bool done() const noexcept { return done_; }
+  LowLoadEngine(RoundDriver<LowLoadEngine>& d, const P& p,
+                const LowLoadConfig& cfg)
+      : p_(p), cfg_(cfg), d_(d.plan_.dimension), seed_chan_(d.net_),
+        copies_mail_(d.net_), seeds_mail_(d.net_) {
+    const std::size_t n = d.n_;
+    sampler_ = {.target = 6 * d_ * d_,
+                .c = cfg_.sampler_c,
+                .log_n = util::ceil_log2(n) + 1,
+                .strict = cfg_.strict_sampling};
+    // Shard workers spawn here, before any thread pool exists.
+    stage_a_.emplace(n, cfg_.parallel_nodes, cfg_.shard, [&] {
+      return typename Kernel::Boot{idealized(), cfg_.run_termination,
+                                   sampler_, d.lp_.oracle, p_};
+    });
+    // Section 2.3: nodes with no original element start in the pull phase.
+    in_pull_phase_.assign(n, 0);
+    for (gossip::NodeId v = 0; v < n; ++v) {
+      if (d.store_.h0_count(v) == 0) on_join(v);
+    }
+    scratch_.resize(n);
+  }
 
-  /// Run one round.  Requires !done().
-  void step();
+  void round(RoundDriver<LowLoadEngine>& d);
 
-  /// The post-run accounting; call once, after done().
-  DistributedLpResult<P> finish();
+  // A joiner enters the Section 2.3 pull phase (a sorted id list plus a
+  // flag array for O(1) stage-A checks); a leaver drops out of it.
+  void on_join(gossip::NodeId v) {
+    if (in_pull_phase_[v]) return;
+    in_pull_phase_[v] = 1;
+    pull_nodes_.insert(
+        std::lower_bound(pull_nodes_.begin(), pull_nodes_.end(), v), v);
+  }
+  void on_leave(gossip::NodeId v) {
+    if (!in_pull_phase_[v]) return;
+    in_pull_phase_[v] = 0;
+    pull_nodes_.erase(
+        std::lower_bound(pull_nodes_.begin(), pull_nodes_.end(), v));
+  }
+  std::size_t filter_dimension() const { return cfg_.filtering ? d_ : 0; }
+
+  void finish(auto&) {
+    stage_a_->copy_recovery_stats(cfg_.shard.recovery_out);
+  }
 
  private:
   using Kernel = detail::LowLoadKernel<P>;
 
-  bool absent(gossip::NodeId v) const {
-    return churn_on_ && !members_->present(v);
-  }
+  bool idealized() const { return cfg_.sampling == SamplingMode::kIdealized; }
 
   const P& p_;
   const LowLoadConfig cfg_;  // a copy: the caller's config may not outlive us
-  const std::size_t n_;
-  const Solution oracle_;
-  const std::size_t maturity_;
-  DistributedLpResult<P> res_;
-  gossip::Network net_;
-  std::vector<util::Rng> node_rng_;
-  gossip::NodeStore<Element> store_;
+  const std::size_t d_;
   SamplerConfig sampler_;
-  double keep_p_ = 0.0;
-  std::size_t max_rounds_ = 0;
   gossip::PullChannel<Element> seed_chan_;  // Section 2.3 pull phase
   gossip::Mailbox<Element> copies_mail_;    // W_i pushes
   gossip::Mailbox<Element> seeds_mail_;     // (h, 0) pushes
-  TerminationProtocol<P> term_;
   std::vector<std::uint8_t> in_pull_phase_;
   std::vector<gossip::NodeId> pull_nodes_;
-  const bool churn_on_;
-  std::optional<ChurnState> members_;
-  detail::ChurnCursor churn_cursor_;
-  std::vector<Element> handoff_scratch_;
-  // Per-node stage-A output, persistent across rounds so the steady state
-  // allocates nothing.
+  // Per-node stage-A output, kept across rounds: no steady-state allocation.
   std::vector<typename Kernel::Node> scratch_;
-  bool found_ = false;
-  std::size_t t_ = 0;  // rounds run so far
-  bool done_ = false;
   // Last: its shard workers or thread pool outlive nothing stage A reads.
   std::optional<StageA<Kernel>> stage_a_;
 };
 
 template <LpTypeProblem P>
-LowLoadRun<P>::LowLoadRun(const P& p, std::span<const Element> h_set,
-                          std::size_t n_nodes, const LowLoadConfig& cfg)
-    : p_(p),
-      cfg_(cfg),
-      n_(n_nodes),
-      oracle_(p.solve(h_set)),
-      maturity_(cfg.termination_maturity
-                    ? cfg.termination_maturity
-                    : 2 * (util::ceil_log2(n_nodes) + 2)),
-      net_(n_nodes, util::Rng(cfg.seed).child(0), cfg.faults),
-      store_(n_nodes),
-      seed_chan_(net_),
-      copies_mail_(net_),
-      seeds_mail_(net_),
-      term_(p, net_, maturity_),
-      churn_on_(cfg.churn != nullptr && !cfg.churn->empty()),
-      churn_cursor_(churn_on_ ? cfg.churn : nullptr) {
-  const std::size_t d =
-      cfg.dimension_override ? cfg.dimension_override : p.dimension();
-  const std::size_t n = n_nodes;
-  LPT_CHECK(n >= 1 && d >= 1);
-  if (h_set.empty()) {
-    res_.solution = oracle_;
-    res_.stats.reached_optimum = true;
-    done_ = true;
-    return;
-  }
-
-  util::Rng master(cfg.seed);
-  util::Rng dist_rng = master.child(1);
-  node_rng_.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) node_rng_.push_back(master.child(2 + v));
-
-  // Initial placement: every element lands on a uniformly random node
-  // (the paper's standing assumption; achievable with one push each).
-  for (const auto& h : h_set) {
-    store_.add_original(static_cast<gossip::NodeId>(dist_rng.below(n)), h);
-  }
-
-  sampler_.target = 6 * d * d;
-  sampler_.c = cfg.sampler_c;
-  sampler_.log_n = util::ceil_log2(n) + 1;
-  sampler_.strict = cfg.strict_sampling;
-  keep_p_ = 1.0 / (1.0 + 1.0 / (2.0 * static_cast<double>(d)));
-
-  max_rounds_ =
-      cfg.max_rounds ? cfg.max_rounds
-                     : 60 * d * (util::ceil_log2(n) + 2) + 8 * maturity_ + 60;
-  // The meter closes one history entry per round: reserving the round
-  // bound up front keeps begin_round's push_back realloc-free for the
-  // whole run (+1 covers the finish() flush of the last round).
-  net_.meter().reserve_rounds(max_rounds_ + 1);
-
-  // Stage A (core/stage_a.hpp) runs on shard workers when configured and
-  // the problem has wire codecs, else on cfg.parallel_nodes threads —
-  // bit-identical to the serial run either way.  Workers spawn here,
-  // before any thread pool exists.
-  stage_a_.emplace(n, cfg.parallel_nodes, cfg.shard, [&] {
-    return typename Kernel::Boot{cfg.sampling == SamplingMode::kIdealized,
-                                 cfg.run_termination, sampler_, oracle_, p};
-  });
-
-  // Section 2.3: nodes with no original element start in the pull phase.
-  // The phase membership is a compact *sorted* id list (plus a flag array
-  // for O(1) stage-A checks): the request loop and the stage-B response
-  // walk cost O(phase members), which drops to zero after O(log n) rounds.
-  in_pull_phase_.assign(n, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (store_.h0_count(static_cast<gossip::NodeId>(v)) == 0) {
-      in_pull_phase_[v] = 1;
-      pull_nodes_.push_back(static_cast<gossip::NodeId>(v));
-    }
-  }
-
-  // Churn (core/churn.hpp): membership bookkeeping plus a cursor over the
-  // schedule.  Events apply at the top of their round, before any traffic.
-  LPT_CHECK_MSG(!(churn_on_ && cfg.run_termination),
-                "run_low_load: churn is incompatible with run_termination");
-  if (churn_on_) members_.emplace(n);
-
-  res_.stats.initial_total_elements = store_.total_elements();
-  res_.stats.max_total_elements = res_.stats.initial_total_elements;
-  scratch_.resize(n);
-}
-
-template <LpTypeProblem P>
-void LowLoadRun<P>::step() {
-  LPT_CHECK_MSG(!done_, "LowLoadRun::step after done()");
-  const std::size_t n = n_;
-  const std::size_t t = ++t_;
-  net_.begin_round();
-  obs::trace_tick();  // rounds are the engine's sampling unit
-  obs::TraceSpan round_span("low_load.round", t);
-  std::size_t bookkeeping = 0;
-
-  // --- Churn events due this round: a leaver hands its store off to
-  // uniformly random present nodes (originals stay originals) and drops
-  // out of the pull phase; a joiner enters the Section 2.3 pull phase.
-  for (const ChurnEvent& ev : churn_cursor_.events_due(t)) {
-    const gossip::NodeId v = ev.node;
-    if (ev.join) {
-      members_->join(v);
-      if (!in_pull_phase_[v]) {
-        in_pull_phase_[v] = 1;
-        pull_nodes_.insert(
-            std::lower_bound(pull_nodes_.begin(), pull_nodes_.end(), v), v);
-      }
-    } else {
-      members_->leave(v);  // before hand_off: targets exclude the leaver
-      detail::hand_off_store(store_, v, *members_, net_.rng(),
-                             handoff_scratch_);
-      if (in_pull_phase_[v]) {
-        in_pull_phase_[v] = 0;
-        pull_nodes_.erase(
-            std::lower_bound(pull_nodes_.begin(), pull_nodes_.end(), v));
-      }
-    }
-  }
+void LowLoadEngine<P>::round(RoundDriver<LowLoadEngine>& d) {
+  gossip::Network& net = d.net_;
+  const gossip::NodeStore<Element>& store = d.store_;
 
   // --- Pull phase requests (Algorithm 4, lines 2-6): O(phase members).
   for (const gossip::NodeId v : pull_nodes_) {
-    if (!net_.asleep(v)) seed_chan_.request(v);
+    if (!net.asleep(v)) seed_chan_.request(v);
   }
   seed_chan_.resolve([&](gossip::NodeId target) -> std::optional<Element> {
-    const std::size_t h0 = store_.h0_count(target);
+    const std::size_t h0 = store.h0_count(target);
     if (h0 == 0) return std::nullopt;
-    return store_.elem(target, net_.rng().below(h0));
+    return store.elem(target, net.rng().below(h0));
   });
 
-  // --- Per-node compute (stage A, core/stage_a.hpp): the node's pulls
-  // (Algorithm 2 line 3 via Section 2.1), sample selection, local solve,
-  // and violator scan, against the round-start store.  It touches only
-  // node_rng_[v], so it fans out across threads or shard workers; every
-  // shared-RNG side effect (mailbox pushes, termination traffic) is
-  // collected per chunk and replayed in stage B in node order, making
-  // those runs bit-identical to serial ones.
+  // --- Stage A (core/stage_a.hpp): each node's pulls (Algorithm 2 line 3
+  // via Section 2.1), sample selection, local solve and violator scan,
+  // against the round-start store and drawing only from its own stream.
   stage_a_->run(
-      Kernel{p_, oracle_, sampler_, sampler_.pulls_per_node(),
-             cfg_.sampling == SamplingMode::kIdealized, cfg_.run_termination,
-             found_},
-      net_, store_,
+      Kernel{p_, d.lp_.oracle, sampler_, sampler_.pulls_per_node(), idealized(),
+             cfg_.run_termination, d.found()},
+      net, store,
       [&](gossip::NodeId v) {
-        return !net_.asleep(v) && !in_pull_phase_[v] && !absent(v);
+        return !net.asleep(v) && !in_pull_phase_[v] && !d.absent(v);
       },
-      node_rng_, scratch_, res_.stats);
+      d.node_rng_, scratch_, d.res_.stats);
 
-  // --- Shared-state replay (stage B): walk the pull-phase list and the
-  // per-chunk candidate lists merged in ascending node order — the exact
-  // order (and hence shared-RNG stream) of a full O(n) scan, at
-  // O(phase members + candidates) cost. ---
+  // --- Stage B: walk the pull-phase list and the chunks' candidate lists
+  // merged in ascending node order — the shared-RNG order of a full O(n)
+  // scan, at O(phase members + candidates) cost. ---
   std::size_t pull_read = 0;
   std::size_t pull_write = 0;
   auto replay_pull_below = [&](gossip::NodeId limit) {
     while (pull_read < pull_nodes_.size() && pull_nodes_[pull_read] < limit) {
       const gossip::NodeId v = pull_nodes_[pull_read++];
-      ++bookkeeping;
+      d.touch();
       bool exited = false;
-      if (!net_.asleep(v)) {
+      if (!net.asleep(v)) {
         const auto got = seed_chan_.responses(v);
         if (!got.empty()) {
           seeds_mail_.push(v, got.front());
@@ -539,93 +390,30 @@ void LowLoadRun<P>::step() {
     if (first_opt == detail::kNoNodeId) first_opt = ch.first;
     for (const gossip::NodeId v : ch.replay) {
       replay_pull_below(v);
-      ++bookkeeping;
+      d.touch();
       const auto& sc = scratch_[v];
       for (const auto& h : sc.violators) copies_mail_.push(v, h);
-      if (sc.violators.empty() && cfg_.run_termination) {
-        term_.inject(v, static_cast<std::uint32_t>(t), sc.sol);
-      }
+      if (sc.violators.empty()) d.inject(v, sc.sol);
     }
   }
-  replay_pull_below(static_cast<gossip::NodeId>(n));
+  replay_pull_below(static_cast<gossip::NodeId>(d.n_));
   pull_nodes_.resize(pull_write);
-  if (!found_ && first_opt != detail::kNoNodeId) {
-    found_ = true;
-    res_.solution = scratch_[first_opt].sol;
-    res_.stats.rounds_to_first = t;
-    res_.stats.reached_optimum = true;
+  if (!d.found() && first_opt != detail::kNoNodeId) {
+    d.res_.solution = scratch_[first_opt].sol;
+    d.record_first();
   }
 
-  // --- Delivery (received at the beginning of the next round): walk
-  // only the inboxes that received something. ---
-  seeds_mail_.deliver();
-  copies_mail_.deliver();
-  for (const gossip::NodeId v : seeds_mail_.receivers()) {
-    ++bookkeeping;
-    // A departed receiver drops the delivery: the seed is a duplicate of
-    // an original the answerer still holds, so nothing is destroyed.
-    if (absent(v)) continue;
-    for (const auto& h : seeds_mail_.inbox(v)) store_.add_original(v, h);
-  }
-  for (const gossip::NodeId v : copies_mail_.receivers()) {
-    ++bookkeeping;
-    if (absent(v)) continue;  // pushers retain their own copies
-    for (const auto& h : copies_mail_.inbox(v)) store_.add_copy(v, h);
-  }
-
-  // --- Filtering (lines 8-9): originals are never deleted; only the
-  // copy-holding nodes are visited, each consuming its own RNG stream.
-  if (cfg_.filtering) {
-    bookkeeping += store_.filter_copies(
-        keep_p_, [&](gossip::NodeId v) -> util::Rng& { return node_rng_[v]; });
-  }
-
-  if (cfg_.run_termination) {
-    term_.round(static_cast<std::uint32_t>(t),
-                [&](gossip::NodeId v) { return store_.view(v); });
-  }
-
-  res_.stats.end_round(store_.total_elements(), bookkeeping);
-
-  const bool stop = cfg_.run_termination ? term_.all_output() : found_;
-  if (stop && t >= cfg_.min_rounds) {
-    res_.stats.rounds_to_all_output = cfg_.run_termination ? t : 0;
-    done_ = true;
-  } else if (t == max_rounds_) {
-    done_ = true;
-  }
+  // --- Delivery: a seed becomes an original, a W_i element a copy. ---
+  d.deliver(seeds_mail_, /*as_originals=*/true);
+  d.deliver(copies_mail_, /*as_originals=*/false);
 }
 
+/// One resumable run of the Low-Load Clarkson Algorithm (construct, then
+/// step() until done(), then finish()).  It stops when some node's sample
+/// attains f(H) (the paper's Figure 2 measurement), or — with
+/// cfg.run_termination — when every node has an Algorithm 3 output.
 template <LpTypeProblem P>
-DistributedLpResult<P> LowLoadRun<P>::finish() {
-  LPT_CHECK_MSG(done_, "LowLoadRun::finish before done()");
-  // An empty h_set ran no round: the constructor already set the answer.
-  if (t_ == 0) return std::move(res_);
-
-  if (cfg_.run_termination) {
-    for (gossip::NodeId v = 0; v < n_; ++v) {
-      const auto& out = term_.output(v);
-      if (!out || !p_.same_value(*out, oracle_)) {
-        res_.stats.all_outputs_correct = false;
-        break;
-      }
-    }
-    if (term_.all_output() && res_.stats.all_outputs_correct && !found_) {
-      // Every node output the optimum via the protocol even though the
-      // oracle check never fired (possible only in degenerate instances).
-      res_.solution = *term_.output(0);
-      res_.stats.reached_optimum = true;
-    }
-  }
-
-  stage_a_->copy_recovery_stats(cfg_.shard.recovery_out);
-  res_.stats.finish(net_.meter(), store_.total_elements());
-  obs::counter("engine.low_load.runs").add(1);
-  obs::counter("engine.low_load.rounds").add(res_.stats.rounds_to_first);
-  obs::gauge("engine.low_load.store_arena_bytes")
-      .set(static_cast<std::int64_t>(store_.arena_bytes()));
-  return std::move(res_);
-}
+using LowLoadRun = RoundDriver<LowLoadEngine<P>>;
 
 /// Run the Low-Load Clarkson Algorithm to completion: a LowLoadRun stepped
 /// until done().
@@ -634,9 +422,7 @@ DistributedLpResult<P> run_low_load(const P& p,
                                     std::span<const typename P::Element> h_set,
                                     std::size_t n_nodes,
                                     const LowLoadConfig& cfg = {}) {
-  LowLoadRun<P> run(p, h_set, n_nodes, cfg);
-  while (!run.done()) run.step();
-  return run.finish();
+  return run_to_end<LowLoadEngine<P>>(p, h_set, n_nodes, cfg);
 }
 
 }  // namespace lpt::core

@@ -50,8 +50,6 @@ class TerminationProtocol {
         entries_(net.size()),
         outputs_(net.size()) {}
 
-  std::size_t maturity() const noexcept { return maturity_; }
-
   /// Node v observed W_i = 0 at iteration t: inject (t, basis(R_i), 1).
   void inject(gossip::NodeId v, std::uint32_t t, const Solution& sol) {
     if (outputs_[v]) return;
@@ -100,9 +98,6 @@ class TerminationProtocol {
     }
   }
 
-  bool has_output(gossip::NodeId v) const noexcept {
-    return outputs_[v].has_value();
-  }
   const std::optional<Solution>& output(gossip::NodeId v) const noexcept {
     return outputs_[v];
   }

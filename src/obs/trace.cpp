@@ -95,6 +95,11 @@ void disable_tracing() {
   detail::g_active.store(false, std::memory_order_relaxed);
 }
 
+void resume_tracing() {
+  auto& s = detail::tstate();
+  if (!s.ring.empty()) s.enabled.store(true, std::memory_order_relaxed);
+}
+
 bool tracing_enabled() noexcept {
   return detail::tstate().enabled.load(std::memory_order_relaxed);
 }

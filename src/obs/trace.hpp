@@ -15,7 +15,7 @@
 //     g_active (false) — no clock reads, no writes.  Runs are
 //     bit-identical to an uninstrumented build (the tracer never draws
 //     RNG or branches into algorithm code), and bench/service_qps
-//     hard-gates the wall overhead at <= 1%.
+//     hard-gates the overhead at <= 1%.
 //   * Enabled: enable_tracing() preallocates the whole ring up front;
 //     recording claims a slot with one relaxed fetch_add and writes a
 //     POD event — never an allocation, so the zero-steady-state-
@@ -64,8 +64,10 @@ void record_event(const char* name, std::uint64_t ts_ns, std::uint64_t dur_ns,
 void enable_tracing(TraceConfig cfg = {});
 
 /// Stop accepting events.  The ring keeps its contents for a final
-/// write_chrome_trace; enable_tracing() again resets it.
+/// write_chrome_trace; enable_tracing() again resets it, resume_tracing()
+/// accepts events again where the ring and the sampling left off.
 void disable_tracing();
+void resume_tracing();
 
 bool tracing_enabled() noexcept;
 
@@ -129,6 +131,7 @@ inline constexpr bool kTraceCompiled = false;
 
 inline void enable_tracing(TraceConfig = {}) {}
 inline void disable_tracing() {}
+inline void resume_tracing() {}
 inline bool tracing_enabled() noexcept { return false; }
 inline bool trace_tick() noexcept { return false; }
 inline bool trace_active() noexcept { return false; }

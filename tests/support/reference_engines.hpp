@@ -1,6 +1,5 @@
-// Reference copies of two engine loops as they ran before their simulator
-// overhead was taken out, kept as bit-exactness references (the same
-// arrangement as bench/reference_sampler.hpp for the pull sampler):
+// Reference copies of engine loops, kept as bit-exactness references (the
+// same arrangement as bench/reference_sampler.hpp for the pull sampler):
 //
 //   * legacy_broadcast / legacy_all_reduce / legacy_prefix_sum: the
 //     per-node hypercube collective schedules — binomial-tree flood,
@@ -9,9 +8,15 @@
 //     gossip::Hypercube computes the same results directly;
 //     tests/test_hypercube_csr.cpp holds the two to bit equality.
 //   * reference_hypercube_clarkson: run_hypercube_clarkson with one pair
-//     of heap vectors per node and the legacy collectives.
+//     of heap vectors per node, the legacy collectives, and a second
+//     violation test per element in the doubling sweep.
 //   * reference_high_load: run_high_load with one heap-vector message per
 //     basis push and a fresh local solve at every node in every round.
+//   * ReferenceLowLoadRun / reference_low_load and reference_hitting_set:
+//     the low-load and hitting-set engines as each wrote its own round
+//     (RNG tree, placement, churn, delivery, filtering, stop rule and run
+//     end) before core/round_driver.hpp took that scaffold over.  They
+//     run stage A through core::StageA and the engines' kernels.
 //
 // tests/test_engine_reference.cpp requires every result field of the
 // engines to equal these loops'.  Semantics must stay frozen; the obs
@@ -28,13 +33,18 @@
 
 #include "core/churn.hpp"
 #include "core/high_load.hpp"
+#include "core/hitting_set.hpp"
 #include "core/hypercube_clarkson.hpp"
+#include "core/low_load.hpp"
 #include "core/lp_type.hpp"
 #include "core/result.hpp"
+#include "core/sampling.hpp"
+#include "core/stage_a.hpp"
 #include "core/termination.hpp"
 #include "gossip/hypercube.hpp"
 #include "gossip/mailbox.hpp"
 #include "gossip/network.hpp"
+#include "problems/hitting_set_problem.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -509,6 +519,434 @@ core::HighLoadResult<P> reference_high_load(
     }
   }
 
+  net.meter().finish();
+  res.stats.max_work_per_round = net.meter().max_work_per_round();
+  res.stats.total_push_ops = net.meter().total_push_ops();
+  res.stats.total_pull_ops = net.meter().total_pull_ops();
+  res.stats.total_bytes = net.meter().total_bytes();
+  res.stats.final_total_elements = store.total_elements();
+  return res;
+}
+
+/// The churn handoff of the reference loops: node v's store goes to
+/// uniformly random present nodes (originals stay originals), staged
+/// through `scratch` because an add can move the arena v's view is in.
+template <typename Element>
+void reference_hand_off_store(gossip::NodeStore<Element>& store,
+                              gossip::NodeId v, const core::ChurnState& churn,
+                              util::Rng& rng, std::vector<Element>& scratch) {
+  const std::span<const Element> view = store.view(v);
+  if (view.empty()) return;
+  const std::size_t h0 = store.h0_count(v);
+  scratch.assign(view.begin(), view.end());
+  store.clear_node(v);
+  for (std::size_t i = 0; i < scratch.size(); ++i) {
+    const gossip::NodeId target = churn.draw_present(rng);
+    if (i < h0) {
+      store.add_original(target, scratch[i]);
+    } else {
+      store.add_copy(target, scratch[i]);
+    }
+  }
+}
+
+/// core::LowLoadRun as it stepped its own rounds: the constructor does the
+/// set-up, step() runs one round, finish() the post-run accounting.
+template <core::LpTypeProblem P>
+class ReferenceLowLoadRun {
+ public:
+  using Element = typename P::Element;
+  using Solution = typename P::Solution;
+
+  ReferenceLowLoadRun(const P& p, std::span<const Element> h_set,
+                      std::size_t n_nodes, const core::LowLoadConfig& cfg = {})
+      : p_(p),
+        cfg_(cfg),
+        n_(n_nodes),
+        oracle_(p.solve(h_set)),
+        maturity_(cfg.termination_maturity
+                      ? cfg.termination_maturity
+                      : 2 * (util::ceil_log2(n_nodes) + 2)),
+        net_(n_nodes, util::Rng(cfg.seed).child(0), cfg.faults),
+        store_(n_nodes),
+        seed_chan_(net_),
+        copies_mail_(net_),
+        seeds_mail_(net_),
+        term_(p, net_, maturity_),
+        churn_on_(cfg.churn != nullptr && !cfg.churn->empty()),
+        churn_cursor_(churn_on_ ? cfg.churn : nullptr) {
+    const std::size_t d =
+        cfg.dimension_override ? cfg.dimension_override : p.dimension();
+    const std::size_t n = n_nodes;
+    LPT_CHECK(n >= 1 && d >= 1);
+    if (h_set.empty()) {
+      res_.solution = oracle_;
+      res_.stats.reached_optimum = true;
+      done_ = true;
+      return;
+    }
+
+    util::Rng master(cfg.seed);
+    util::Rng dist_rng = master.child(1);
+    node_rng_.reserve(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      node_rng_.push_back(master.child(2 + v));
+    }
+    for (const auto& h : h_set) {
+      store_.add_original(static_cast<gossip::NodeId>(dist_rng.below(n)), h);
+    }
+
+    sampler_.target = 6 * d * d;
+    sampler_.c = cfg.sampler_c;
+    sampler_.log_n = util::ceil_log2(n) + 1;
+    sampler_.strict = cfg.strict_sampling;
+    keep_p_ = 1.0 / (1.0 + 1.0 / (2.0 * static_cast<double>(d)));
+
+    max_rounds_ =
+        cfg.max_rounds ? cfg.max_rounds
+                       : 60 * d * (util::ceil_log2(n) + 2) + 8 * maturity_ + 60;
+    net_.meter().reserve_rounds(max_rounds_ + 1);
+
+    stage_a_.emplace(n, cfg.parallel_nodes, cfg.shard, [&] {
+      return typename Kernel::Boot{
+          cfg.sampling == core::SamplingMode::kIdealized, cfg.run_termination,
+          sampler_, oracle_, p};
+    });
+
+    in_pull_phase_.assign(n, 0);
+    for (std::size_t v = 0; v < n; ++v) {
+      if (store_.h0_count(static_cast<gossip::NodeId>(v)) == 0) {
+        in_pull_phase_[v] = 1;
+        pull_nodes_.push_back(static_cast<gossip::NodeId>(v));
+      }
+    }
+
+    LPT_CHECK_MSG(!(churn_on_ && cfg.run_termination),
+                  "run_low_load: churn is incompatible with run_termination");
+    if (churn_on_) members_.emplace(n);
+
+    res_.stats.initial_total_elements = store_.total_elements();
+    res_.stats.max_total_elements = res_.stats.initial_total_elements;
+    scratch_.resize(n);
+  }
+  ReferenceLowLoadRun(const ReferenceLowLoadRun&) = delete;
+  ReferenceLowLoadRun& operator=(const ReferenceLowLoadRun&) = delete;
+
+  bool done() const noexcept { return done_; }
+
+  void step() {
+    LPT_CHECK_MSG(!done_, "ReferenceLowLoadRun::step after done()");
+    const std::size_t n = n_;
+    const std::size_t t = ++t_;
+    net_.begin_round();
+    std::size_t bookkeeping = 0;
+
+    for (const core::ChurnEvent& ev : churn_cursor_.events_due(t)) {
+      const gossip::NodeId v = ev.node;
+      if (ev.join) {
+        members_->join(v);
+        if (!in_pull_phase_[v]) {
+          in_pull_phase_[v] = 1;
+          pull_nodes_.insert(
+              std::lower_bound(pull_nodes_.begin(), pull_nodes_.end(), v), v);
+        }
+      } else {
+        members_->leave(v);
+        reference_hand_off_store(store_, v, *members_, net_.rng(),
+                                 handoff_scratch_);
+        if (in_pull_phase_[v]) {
+          in_pull_phase_[v] = 0;
+          pull_nodes_.erase(
+              std::lower_bound(pull_nodes_.begin(), pull_nodes_.end(), v));
+        }
+      }
+    }
+
+    for (const gossip::NodeId v : pull_nodes_) {
+      if (!net_.asleep(v)) seed_chan_.request(v);
+    }
+    seed_chan_.resolve([&](gossip::NodeId target) -> std::optional<Element> {
+      const std::size_t h0 = store_.h0_count(target);
+      if (h0 == 0) return std::nullopt;
+      return store_.elem(target, net_.rng().below(h0));
+    });
+
+    stage_a_->run(
+        Kernel{p_, oracle_, sampler_, sampler_.pulls_per_node(),
+               cfg_.sampling == core::SamplingMode::kIdealized,
+               cfg_.run_termination, found_},
+        net_, store_,
+        [&](gossip::NodeId v) {
+          return !net_.asleep(v) && !in_pull_phase_[v] && !absent(v);
+        },
+        node_rng_, scratch_, res_.stats);
+
+    std::size_t pull_read = 0;
+    std::size_t pull_write = 0;
+    auto replay_pull_below = [&](gossip::NodeId limit) {
+      while (pull_read < pull_nodes_.size() &&
+             pull_nodes_[pull_read] < limit) {
+        const gossip::NodeId v = pull_nodes_[pull_read++];
+        ++bookkeeping;
+        bool exited = false;
+        if (!net_.asleep(v)) {
+          const auto got = seed_chan_.responses(v);
+          if (!got.empty()) {
+            seeds_mail_.push(v, got.front());
+            in_pull_phase_[v] = 0;
+            exited = true;
+          }
+        }
+        if (!exited) pull_nodes_[pull_write++] = v;
+      }
+    };
+    gossip::NodeId first_opt = core::detail::kNoNodeId;
+    for (const core::ChunkAcc& ch : stage_a_->chunks()) {
+      if (first_opt == core::detail::kNoNodeId) first_opt = ch.first;
+      for (const gossip::NodeId v : ch.replay) {
+        replay_pull_below(v);
+        ++bookkeeping;
+        const auto& sc = scratch_[v];
+        for (const auto& h : sc.violators) copies_mail_.push(v, h);
+        if (sc.violators.empty() && cfg_.run_termination) {
+          term_.inject(v, static_cast<std::uint32_t>(t), sc.sol);
+        }
+      }
+    }
+    replay_pull_below(static_cast<gossip::NodeId>(n));
+    pull_nodes_.resize(pull_write);
+    if (!found_ && first_opt != core::detail::kNoNodeId) {
+      found_ = true;
+      res_.solution = scratch_[first_opt].sol;
+      res_.stats.rounds_to_first = t;
+      res_.stats.reached_optimum = true;
+    }
+
+    seeds_mail_.deliver();
+    copies_mail_.deliver();
+    for (const gossip::NodeId v : seeds_mail_.receivers()) {
+      ++bookkeeping;
+      if (absent(v)) continue;
+      for (const auto& h : seeds_mail_.inbox(v)) store_.add_original(v, h);
+    }
+    for (const gossip::NodeId v : copies_mail_.receivers()) {
+      ++bookkeeping;
+      if (absent(v)) continue;
+      for (const auto& h : copies_mail_.inbox(v)) store_.add_copy(v, h);
+    }
+
+    if (cfg_.filtering) {
+      bookkeeping += store_.filter_copies(
+          keep_p_,
+          [&](gossip::NodeId v) -> util::Rng& { return node_rng_[v]; });
+    }
+
+    if (cfg_.run_termination) {
+      term_.round(static_cast<std::uint32_t>(t),
+                  [&](gossip::NodeId v) { return store_.view(v); });
+    }
+
+    const std::size_t m = store_.total_elements();
+    if (m > res_.stats.max_total_elements) res_.stats.max_total_elements = m;
+    res_.stats.bookkeeping_touches_total += bookkeeping;
+    res_.stats.last_round_bookkeeping_touches = bookkeeping;
+
+    const bool stop = cfg_.run_termination ? term_.all_output() : found_;
+    if (stop && t >= cfg_.min_rounds) {
+      res_.stats.rounds_to_all_output = cfg_.run_termination ? t : 0;
+      done_ = true;
+    } else if (t == max_rounds_) {
+      done_ = true;
+    }
+  }
+
+  core::DistributedLpResult<P> finish() {
+    LPT_CHECK_MSG(done_, "ReferenceLowLoadRun::finish before done()");
+    if (t_ == 0) return std::move(res_);
+
+    if (cfg_.run_termination) {
+      for (gossip::NodeId v = 0; v < n_; ++v) {
+        const auto& out = term_.output(v);
+        if (!out || !p_.same_value(*out, oracle_)) {
+          res_.stats.all_outputs_correct = false;
+          break;
+        }
+      }
+      if (term_.all_output() && res_.stats.all_outputs_correct && !found_) {
+        res_.solution = *term_.output(0);
+        res_.stats.reached_optimum = true;
+      }
+    }
+
+    stage_a_->copy_recovery_stats(cfg_.shard.recovery_out);
+    net_.meter().finish();
+    res_.stats.max_work_per_round = net_.meter().max_work_per_round();
+    res_.stats.total_push_ops = net_.meter().total_push_ops();
+    res_.stats.total_pull_ops = net_.meter().total_pull_ops();
+    res_.stats.total_bytes = net_.meter().total_bytes();
+    res_.stats.final_total_elements = store_.total_elements();
+    return std::move(res_);
+  }
+
+ private:
+  using Kernel = core::detail::LowLoadKernel<P>;
+
+  bool absent(gossip::NodeId v) const {
+    return churn_on_ && !members_->present(v);
+  }
+
+  const P& p_;
+  const core::LowLoadConfig cfg_;
+  const std::size_t n_;
+  const Solution oracle_;
+  const std::size_t maturity_;
+  core::DistributedLpResult<P> res_;
+  gossip::Network net_;
+  std::vector<util::Rng> node_rng_;
+  gossip::NodeStore<Element> store_;
+  core::SamplerConfig sampler_;
+  double keep_p_ = 0.0;
+  std::size_t max_rounds_ = 0;
+  gossip::PullChannel<Element> seed_chan_;
+  gossip::Mailbox<Element> copies_mail_;
+  gossip::Mailbox<Element> seeds_mail_;
+  core::TerminationProtocol<P> term_;
+  std::vector<std::uint8_t> in_pull_phase_;
+  std::vector<gossip::NodeId> pull_nodes_;
+  const bool churn_on_;
+  std::optional<core::ChurnState> members_;
+  core::detail::ChurnCursor churn_cursor_;
+  std::vector<Element> handoff_scratch_;
+  std::vector<typename Kernel::Node> scratch_;
+  bool found_ = false;
+  std::size_t t_ = 0;
+  bool done_ = false;
+  std::optional<core::StageA<Kernel>> stage_a_;
+};
+
+/// ReferenceLowLoadRun stepped to completion.
+template <core::LpTypeProblem P>
+core::DistributedLpResult<P> reference_low_load(
+    const P& p, std::span<const typename P::Element> h_set,
+    std::size_t n_nodes, const core::LowLoadConfig& cfg = {}) {
+  ReferenceLowLoadRun<P> run(p, h_set, n_nodes, cfg);
+  while (!run.done()) run.step();
+  return run.finish();
+}
+
+/// core::run_hitting_set as it ran its own doubling stages.
+inline core::HittingSetRunResult reference_hitting_set(
+    const problems::HittingSetProblem& problem, std::size_t n_nodes,
+    const core::HittingSetConfig& cfg = {}) {
+  using Element = std::uint32_t;
+  const auto& sys = problem.system();
+  const std::size_t n = n_nodes;
+  const std::size_t x_size = sys.universe_size();
+  const std::size_t s = sys.set_count();
+  LPT_CHECK(n >= 1 && x_size >= 1 && s >= 1);
+
+  core::HittingSetRunResult res;
+  util::Rng master(cfg.seed);
+  gossip::Network net(n, master.child(0), cfg.faults);
+  util::Rng dist_rng = master.child(1);
+  std::vector<util::Rng> node_rng;
+  node_rng.reserve(n);
+  for (std::size_t v = 0; v < n; ++v) node_rng.push_back(master.child(2 + v));
+
+  gossip::NodeStore<Element> store(n);
+  for (std::uint32_t x = 0; x < x_size; ++x) {
+    store.add_original(static_cast<gossip::NodeId>(dist_rng.below(n)), x);
+  }
+  res.stats.initial_total_elements = store.total_elements();
+  res.stats.max_total_elements = res.stats.initial_total_elements;
+
+  gossip::Mailbox<Element> copies_mail(net);
+  const std::size_t log_n = util::ceil_log2(n) + 1;
+
+  std::size_t d = cfg.hitting_set_size ? cfg.hitting_set_size : 1;
+  bool done = false;
+  std::size_t global_round = 0;
+
+  std::vector<core::detail::HsNode> scratch(n);
+  core::StageA<core::detail::HittingSetKernel> stage_a(
+      n, cfg.parallel_nodes, cfg.shard, [&] {
+        return core::detail::HittingSetKernel::Boot{cfg.strict_sampling,
+                                                    problem};
+      });
+
+  while (!done) {
+    const std::size_t r = cfg.sample_size
+                              ? cfg.sample_size
+                              : core::hitting_set_sample_size(d, s);
+    core::SamplerConfig sampler;
+    sampler.target = r;
+    sampler.c = cfg.sampler_c;
+    sampler.log_n = log_n;
+    const std::size_t pulls = sampler.pulls_per_node();
+    const double keep_p = 1.0 / (1.0 + 1.0 / (2.0 * static_cast<double>(d)));
+    const auto push_cap = static_cast<std::size_t>(
+        cfg.push_cap_c * static_cast<double>(d) *
+        static_cast<double>(log_n)) + 1;
+    const std::size_t stage_rounds =
+        cfg.max_rounds ? cfg.max_rounds
+                       : 40 * d * (util::ceil_log2(n) + 2) + 40;
+    net.meter().reserve_rounds(global_round + stage_rounds + 1);
+
+    for (std::size_t t = 1; t <= stage_rounds && !done; ++t) {
+      ++global_round;
+      net.begin_round();
+      std::size_t bookkeeping = 0;
+
+      stage_a.run(
+          core::detail::HittingSetKernel{problem, cfg.strict_sampling, r,
+                                         push_cap, pulls},
+          net, store, [&](gossip::NodeId v) { return !net.asleep(v); },
+          node_rng, scratch, res.stats);
+
+      for (const core::ChunkAcc& ch : stage_a.chunks()) {
+        for (const gossip::NodeId v : ch.replay) {
+          ++bookkeeping;
+          core::detail::HsNode& sc = scratch[v];
+          if (sc.winner) {
+            if (!done) {
+              done = true;
+              res.hitting_set = std::move(sc.sample);
+              res.stats.rounds_to_first = global_round;
+              res.stats.reached_optimum = true;
+              res.d_used = d;
+              res.sample_size = r;
+            }
+            continue;
+          }
+          for (auto x : sc.wi) copies_mail.push(v, x);
+        }
+      }
+
+      copies_mail.deliver();
+      for (const gossip::NodeId v : copies_mail.receivers()) {
+        ++bookkeeping;
+        for (const auto& x : copies_mail.inbox(v)) store.add_copy(v, x);
+      }
+      if (cfg.filtering) {
+        bookkeeping += store.filter_copies(
+            keep_p,
+            [&](gossip::NodeId v) -> util::Rng& { return node_rng[v]; });
+      }
+      const std::size_t m = store.total_elements();
+      if (m > res.stats.max_total_elements) res.stats.max_total_elements = m;
+      res.stats.bookkeeping_touches_total += bookkeeping;
+      res.stats.last_round_bookkeeping_touches = bookkeeping;
+    }
+
+    if (!done) {
+      if (cfg.hitting_set_size || d >= x_size) break;
+      d *= 2;
+    }
+  }
+
+  res.valid = !res.hitting_set.empty() &&
+              problem.is_hitting_set(res.hitting_set);
+  stage_a.copy_recovery_stats(cfg.shard.recovery_out);
   net.meter().finish();
   res.stats.max_work_per_round = net.meter().max_work_per_round();
   res.stats.total_push_ops = net.meter().total_push_ops();
